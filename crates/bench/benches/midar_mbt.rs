@@ -22,11 +22,11 @@ fn bench_mbt(c: &mut Criterion) {
     let a = synthetic_series(100, 12.0, 30);
     let b = synthetic_series(105, 12.0, 30);
     c.bench_function("mbt_consistent_pair", |bench| {
-        bench.iter(|| monotonic_bounds_test(black_box(&[&a, &b]), 1_500.0))
+        bench.iter(|| monotonic_bounds_test(black_box(&a), black_box(&b), 1_500.0))
     });
     let unrelated = synthetic_series(40_000, 12.0, 30);
     c.bench_function("mbt_inconsistent_pair", |bench| {
-        bench.iter(|| monotonic_bounds_test(black_box(&[&a, &unrelated]), 1_500.0))
+        bench.iter(|| monotonic_bounds_test(black_box(&a), black_box(&unrelated), 1_500.0))
     });
 
     let series = IpidTimeSeries {

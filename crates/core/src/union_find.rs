@@ -126,9 +126,9 @@ impl UnionFind {
     ///
     /// Idempotence of the canonical root is what alias-set merging leans
     /// on; this checks it without path compression, so a valid forest is
-    /// left untouched.  Compiled only under `debug_assertions` or the
-    /// `validate` feature.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    /// left untouched.  Compiled only under `debug_assertions`, the
+    /// `validate` feature or this crate's own tests.
+    #[cfg(any(debug_assertions, test, feature = "validate"))]
     pub fn validate(&self) -> Result<(), String> {
         let n = self.parent.len();
         if self.size.len() != n {

@@ -10,8 +10,9 @@
 //! [`AddrInterner`](crate::intern::AddrInterner).  Agreement counting is
 //! invariant under the (bijective) address ↔ id relabeling, so the results
 //! are identical to the former `BTreeSet<IpAddr>` formulation — the parity
-//! suite pins that down — while projection becomes a sorted-slice merge
-//! walk instead of per-address tree probes.
+//! suite pins that down.  Projection onto a universe builds one membership
+//! mask over the universe's id range and filters every set through it, so
+//! a whole validation is linear in the total set size plus the universe.
 
 use crate::intern::{AddrId, CompactAliasSet};
 use serde::{Deserialize, Serialize};
@@ -59,13 +60,53 @@ pub fn common_ids(a: &[AddrId], b: &[AddrId]) -> Vec<AddrId> {
     out
 }
 
+/// Membership mask over a sorted id universe: `mask[id]` says whether `id`
+/// is a member.  Sized `universe.last() + 1`; ids past its end are not
+/// members.
+fn membership_mask(universe: &[AddrId]) -> Vec<bool> {
+    debug_assert!(
+        universe.windows(2).all(|w| w[0] < w[1]),
+        "universe must be sorted"
+    );
+    let mut mask = vec![false; universe.last().map_or(0, |id| id.index() + 1)];
+    for id in universe {
+        mask[id.index()] = true;
+    }
+    mask
+}
+
+/// Restrict `sets` to the members of `mask`, dropping sets that no longer
+/// have at least two members.
+fn project_masked(sets: &[CompactAliasSet], mask: &[bool]) -> Vec<CompactAliasSet> {
+    sets.iter()
+        .filter_map(|set| {
+            let kept: Vec<AddrId> = set
+                .iter()
+                .filter(|id| mask.get(id.index()).copied().unwrap_or(false))
+                .collect();
+            (kept.len() >= 2).then(|| CompactAliasSet::from_ids(kept))
+        })
+        .collect()
+}
+
 /// Restrict `sets` to the sorted id `universe`, dropping sets that no longer
 /// have at least two members.
 pub fn project_compact(sets: &[CompactAliasSet], universe: &[AddrId]) -> Vec<CompactAliasSet> {
-    sets.iter()
-        .map(|set| CompactAliasSet::from_ids(common_ids(set.ids(), universe)))
-        .filter(|set| set.len() >= 2)
-        .collect()
+    project_masked(sets, &membership_mask(universe))
+}
+
+/// Count how many already projected A sets match a projected B set exactly.
+fn agreement(projected_a: &[CompactAliasSet], projected_b: &[CompactAliasSet]) -> ValidationResult {
+    let b_lookup: HashSet<&[AddrId]> = projected_b.iter().map(|s| s.ids()).collect();
+    let agree = projected_a
+        .iter()
+        .filter(|set| b_lookup.contains(set.ids()))
+        .count();
+    ValidationResult {
+        sample_size: projected_a.len(),
+        agree,
+        disagree: projected_a.len() - agree,
+    }
 }
 
 /// Compare technique A's sets against technique B's sets over the ids
@@ -80,21 +121,11 @@ pub fn cross_validate(
     sets_b: &[CompactAliasSet],
     common: &[AddrId],
 ) -> ValidationResult {
-    let projected_a = project_compact(sets_a, common);
-    let projected_b = project_compact(sets_b, common);
-    let b_lookup: HashSet<&[AddrId]> = projected_b.iter().map(|s| s.ids()).collect();
-    let mut result = ValidationResult {
-        sample_size: projected_a.len(),
-        ..Default::default()
-    };
-    for set in &projected_a {
-        if b_lookup.contains(set.ids()) {
-            result.agree += 1;
-        } else {
-            result.disagree += 1;
-        }
-    }
-    result
+    let mask = membership_mask(common);
+    agreement(
+        &project_masked(sets_a, &mask),
+        &project_masked(sets_b, &mask),
+    )
 }
 
 /// Validation against an IPID-based technique such as MIDAR.
@@ -132,19 +163,54 @@ pub fn validate_against_midar(
     midar_sets: &[CompactAliasSet],
     testable: &[AddrId],
 ) -> MidarValidation {
-    let projected = project_compact(sampled_sets, testable);
-    let unverifiable = sampled_sets.len() - projected.len();
-    let result = cross_validate(sampled_sets, midar_sets, testable);
+    let mask = membership_mask(testable);
+    let projected = project_masked(sampled_sets, &mask);
     MidarValidation {
         sampled: sampled_sets.len(),
-        unverifiable,
-        result,
+        unverifiable: sampled_sets.len() - projected.len(),
+        result: agreement(&projected, &project_masked(midar_sets, &mask)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The former projection, kept as the oracle for the mask: one
+    /// `common_ids` merge walk over the whole universe per set.
+    fn merge_walk_projection(
+        sets: &[CompactAliasSet],
+        universe: &[AddrId],
+    ) -> Vec<CompactAliasSet> {
+        sets.iter()
+            .map(|set| CompactAliasSet::from_ids(common_ids(set.ids(), universe)))
+            .filter(|set| set.len() >= 2)
+            .collect()
+    }
+
+    /// The former `cross_validate`, over the merge-walk projection.
+    fn merge_walk_cross_validate(
+        sets_a: &[CompactAliasSet],
+        sets_b: &[CompactAliasSet],
+        common: &[AddrId],
+    ) -> ValidationResult {
+        let projected_a = merge_walk_projection(sets_a, common);
+        let projected_b = merge_walk_projection(sets_b, common);
+        let b_lookup: HashSet<&[AddrId]> = projected_b.iter().map(|s| s.ids()).collect();
+        let mut result = ValidationResult {
+            sample_size: projected_a.len(),
+            ..Default::default()
+        };
+        for set in &projected_a {
+            if b_lookup.contains(set.ids()) {
+                result.agree += 1;
+            } else {
+                result.disagree += 1;
+            }
+        }
+        result
+    }
 
     fn ids(raw: &[u32]) -> Vec<AddrId> {
         raw.iter().copied().map(AddrId).collect()
@@ -228,5 +294,76 @@ mod tests {
         assert_eq!(common_ids(&ids(&[0, 1]), &ids(&[1, 2])), ids(&[1]));
         assert_eq!(common_ids(&ids(&[0, 2, 4]), &ids(&[1, 3, 5])), ids(&[]));
         assert_eq!(common_ids(&ids(&[0, 1, 2, 3]), &ids(&[1, 3])), ids(&[1, 3]));
+    }
+
+    #[test]
+    fn ids_above_the_universe_are_not_members() {
+        let sets = vec![set(&[1, 2, 7, 300]), set(&[8, 9])];
+        let universe = ids(&[1, 2, 7]);
+        assert_eq!(project_compact(&sets, &universe), vec![set(&[1, 2, 7])]);
+        assert_eq!(project_compact(&sets, &[]), Vec::<CompactAliasSet>::new());
+    }
+
+    /// Sorted, deduplicated ids below `bound`.
+    fn sorted_ids(bound: u32, max_len: usize) -> impl Strategy<Value = Vec<AddrId>> {
+        prop::collection::vec(0..bound, 0..max_len).prop_map(|raw| {
+            let mut out: Vec<AddrId> = raw.into_iter().map(AddrId).collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        })
+    }
+
+    /// Alias sets over ids below 64, so many fall outside a universe drawn
+    /// below 48 and many shrink below two members when projected.
+    fn alias_sets() -> impl Strategy<Value = Vec<CompactAliasSet>> {
+        prop::collection::vec(sorted_ids(64, 8), 0..16)
+            .prop_map(|sets| sets.into_iter().map(CompactAliasSet::from_ids).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn mask_projection_matches_the_merge_walk(
+            sets in alias_sets(),
+            universe in prop_oneof![sorted_ids(48, 40), Just(Vec::new())],
+        ) {
+            prop_assert_eq!(
+                project_compact(&sets, &universe),
+                merge_walk_projection(&sets, &universe)
+            );
+        }
+
+        #[test]
+        fn mask_cross_validation_matches_the_merge_walk(
+            sets_a in alias_sets(),
+            sets_b in alias_sets(),
+            common in prop_oneof![sorted_ids(48, 40), Just(Vec::new())],
+        ) {
+            prop_assert_eq!(
+                cross_validate(&sets_a, &sets_b, &common),
+                merge_walk_cross_validate(&sets_a, &sets_b, &common)
+            );
+            // A technique always agrees with itself.
+            let own = cross_validate(&sets_a, &sets_a, &common);
+            prop_assert_eq!(own.agree, own.sample_size);
+        }
+
+        #[test]
+        fn midar_validation_matches_the_merge_walk(
+            sampled in alias_sets(),
+            midar in alias_sets(),
+            testable in prop_oneof![sorted_ids(48, 40), Just(Vec::new())],
+        ) {
+            let validation = validate_against_midar(&sampled, &midar, &testable);
+            prop_assert_eq!(validation.sampled, sampled.len());
+            prop_assert_eq!(
+                validation.unverifiable,
+                sampled.len() - merge_walk_projection(&sampled, &testable).len()
+            );
+            prop_assert_eq!(
+                validation.result,
+                merge_walk_cross_validate(&sampled, &midar, &testable)
+            );
+        }
     }
 }

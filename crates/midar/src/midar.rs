@@ -126,7 +126,8 @@ impl Midar {
             let window_end = (i + cfg.discovery_window).min(usable.len());
             for j in i + 1..window_end {
                 let verdict = monotonic_bounds_test(
-                    &[&usable[i].2.samples, &usable[j].2.samples],
+                    &usable[i].2.samples,
+                    &usable[j].2.samples,
                     cfg.max_velocity,
                 );
                 if verdict == MbtVerdict::Consistent {
@@ -156,7 +157,7 @@ impl Midar {
             if let Some(last) = sa.samples.last().or(sb.samples.last()) {
                 finished_at = finished_at.max(last.time);
             }
-            let verdict = monotonic_bounds_test(&[&sa.samples, &sb.samples], cfg.max_velocity);
+            let verdict = monotonic_bounds_test(&sa.samples, &sb.samples, cfg.max_velocity);
             if verdict == MbtVerdict::Consistent {
                 union.union(index_of[&a], index_of[&b]);
             }

@@ -27,7 +27,7 @@ pub fn speedtrap_group(series: &[IpidTimeSeries], max_velocity: f64) -> Vec<BTre
     for i in 0..usable.len() {
         for j in i + 1..usable.len() {
             let verdict =
-                monotonic_bounds_test(&[&usable[i].samples, &usable[j].samples], max_velocity);
+                monotonic_bounds_test(&usable[i].samples, &usable[j].samples, max_velocity);
             if verdict == MbtVerdict::Consistent {
                 uf.union(i, j);
             }

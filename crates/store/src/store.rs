@@ -331,8 +331,9 @@ impl ObservationStore {
     /// those catch sources of nondeterminism in the text, this catches a
     /// store whose columns have drifted apart at the point of use (the
     /// parity proptests call it after `absorb_shard` splices).  Compiled
-    /// only under `debug_assertions` or the `validate` feature.
-    #[cfg(any(debug_assertions, feature = "validate"))]
+    /// only under `debug_assertions`, the `validate` feature or this
+    /// crate's own tests.
+    #[cfg(any(debug_assertions, test, feature = "validate"))]
     pub fn validate(&self) -> Result<(), String> {
         let rows = self.addrs.len();
         let widths = [
