@@ -3,29 +3,28 @@
 //! (key-only vs. the paper's combined SSH identifier).
 
 use alias_bench::Experiment;
-use alias_core::alias_set::AliasSetCollection;
+use alias_core::alias_set::group_view_compact;
 use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
 use alias_core::identifier::SshIdentifierPolicy;
 use alias_netsim::ScalePreset;
-use alias_scan::ServiceProtocol;
+use alias_scan::{ObservationStore, ServiceProtocol};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_grouping(c: &mut Criterion) {
     let experiment = Experiment::run(ScalePreset::Small, 11);
-    let ssh_observations: Vec<_> = experiment
-        .union
-        .select_protocol(ServiceProtocol::Ssh, None)
-        .to_observations();
+    let ssh_view = experiment.union.select_protocol(ServiceProtocol::Ssh, None);
+    let ssh_observations = ssh_view.to_observations();
 
     let mut group = c.benchmark_group("alias_grouping");
     for fraction in [4usize, 2, 1] {
-        let slice = &ssh_observations[..ssh_observations.len() / fraction];
+        let rows = ssh_observations.len() / fraction;
+        let store = ObservationStore::from_observations(ssh_observations[..rows].to_vec());
         group.bench_with_input(
-            BenchmarkId::new("ssh_full_identifier", slice.len()),
-            slice,
-            |b, slice| {
+            BenchmarkId::new("ssh_full_identifier", rows),
+            &store,
+            |b, store| {
                 let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-                b.iter(|| AliasSetCollection::from_observations(slice.iter(), &extractor))
+                b.iter(|| group_view_compact(&store.view_all(), &extractor, 1))
             },
         );
     }
@@ -46,7 +45,7 @@ fn bench_grouping(c: &mut Criterion) {
                 ssh: policy,
                 ..ExtractionConfig::paper()
             });
-            b.iter(|| AliasSetCollection::from_observations(ssh_observations.iter(), &extractor))
+            b.iter(|| group_view_compact(&ssh_view, &extractor, 1))
         });
     }
     ablation.finish();

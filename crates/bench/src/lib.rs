@@ -14,15 +14,18 @@
 #![warn(missing_docs)]
 
 use alias_censys::{CensysConfig, CensysSnapshot};
-use alias_core::alias_set::AliasSetCollection;
+use alias_core::alias_set::{group_view_compact, CompactGrouping};
 use alias_core::analysis;
 use alias_core::analysis::AsnTable;
 use alias_core::dataset::{DatasetFilter, DatasetSummary};
-use alias_core::dual_stack::DualStackReport;
+use alias_core::dual_stack::{DualStackReport, DualStackSet};
 use alias_core::ecdf::Ecdf;
 use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
 use alias_core::intern::{AddrId, AddrInterner, CompactAliasSet};
-use alias_core::merge::{merge_labeled_compact, MergedSet, MultiServiceStats, ProtocolAttribution};
+use alias_core::merge::{
+    merge_labeled_compact, merge_labeled_ids, MergedGroups, MergedSet, MultiServiceStats,
+    ProtocolAttribution,
+};
 use alias_core::report::{format_count, format_pct, render_ecdf, TextTable};
 use alias_core::validation::{common_ids, cross_validate, validate_against_midar};
 use alias_midar::{Midar, MidarConfig};
@@ -33,6 +36,7 @@ use alias_resolve::{ResolutionReport, Resolver};
 use alias_scan::campaign::CampaignConfig;
 use alias_scan::{DataSource, ObservationStore, RateProbeConfig, ServiceProtocol};
 use parking_lot::Mutex;
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -77,36 +81,37 @@ pub fn scale_from_name(name: &str) -> Option<ScalePreset> {
 pub struct Experiment {
     /// The simulated Internet (after churn).
     pub internet: Internet,
-    /// Active-measurement observations (single VP, post-churn date), as a
-    /// columnar store.
-    pub active: ObservationStore,
-    /// Censys snapshot observations restricted to default ports.
-    pub censys: ObservationStore,
     /// Censys observations on non-standard ports (excluded from analyses).
     pub censys_nonstandard: usize,
-    /// Union of active and Censys default-port observations (active rows
-    /// first, so row order matches the historical concatenation).
+    /// The one observation store every table reads: the active campaign's
+    /// rows (single VP, post-churn date) followed by the Censys snapshot's
+    /// default-port rows.  Its id space extends the campaign's, so the
+    /// resolver's ids are union ids as well.  One source's rows are a
+    /// [`DataSource`] filter away.
     pub union: ObservationStore,
     /// The identifier extractor (paper policies).
     pub extractor: IdentifierExtractor,
     /// Simulated time of the active campaign start.
     pub active_start: SimTime,
-    /// Worker threads for the scan and merge stages (1 = serial).  A pure
-    /// performance knob: every experiment output is byte-identical for any
-    /// value.
+    /// Worker threads for the scan, grouping and merge stages (1 =
+    /// serial).  A pure performance knob: every experiment output is
+    /// byte-identical for any value.
     pub threads: usize,
     /// The unified [`Resolver`] run over the active campaign: per-technique
     /// alias sets, merged sets, coverage/agreement statistics and the
     /// per-technique timing breakdown the bench trajectory records.
     pub resolution: ResolutionReport,
-    /// Memoised per-(protocol, source) alias-set collections: every table
-    /// and figure regroups the same observations, so each grouping is
-    /// computed once and shared.
+    /// Memoised per-(protocol, source) groupings: every table and figure
+    /// regroups the same observations, so each grouping is computed once
+    /// and shared.
     collections: Mutex<CollectionCache>,
 }
 
-/// Cache key → shared collection for [`Experiment::collection`].
-type CollectionCache = HashMap<(ServiceProtocol, Option<DataSource>), Arc<AliasSetCollection>>;
+/// Cache key → shared grouping for [`Experiment::collection`].
+type CollectionCache = HashMap<(ServiceProtocol, Option<DataSource>), Arc<CompactGrouping>>;
+
+/// Labelled alias-set lists in union ids: the input of the union merges.
+type Labeled = Vec<(&'static str, Vec<CompactAliasSet>)>;
 
 impl Experiment {
     /// Build the Internet, collect the Censys snapshot, apply three weeks of
@@ -136,13 +141,7 @@ impl Experiment {
         // per-protocol alias sets of both families into union sets.
         let stage = alias_obs::span("bench/merge");
         for ipv6 in [false, true] {
-            let labeled: Vec<(&str, Vec<BTreeSet<IpAddr>>)> = PROTOCOLS
-                .iter()
-                .map(|&p| (p.name(), experiment.collection(p, None).family_sets(ipv6)))
-                .collect();
-            let inputs: Vec<(&str, &[BTreeSet<IpAddr>])> =
-                labeled.iter().map(|(l, s)| (*l, s.as_slice())).collect();
-            let _ = experiment.merge_labeled(&inputs);
+            let _ = experiment.merge(&experiment.labeled(None, ipv6));
         }
         timings.merge_ms = stage.finish().as_millis() as u64;
         (experiment, timings)
@@ -195,19 +194,18 @@ impl Experiment {
             .build();
         let mut resolution = resolver.resolve(&internet);
         timings.campaign_ms = resolution.timings.campaign_ms;
-        let active = resolution
+        // The union is the campaign's own store with the Censys rows
+        // appended: active ids keep their values, Censys-only addresses get
+        // the next ones.
+        let mut union = resolution
             .campaign
             .take()
             .expect("the resolver ran the scan itself")
             .into_store();
-
-        let mut union = active.clone();
         union.extend_from(&censys);
 
         let experiment = Experiment {
             internet,
-            active,
-            censys,
             censys_nonstandard,
             union,
             extractor: IdentifierExtractor::new(ExtractionConfig::paper()),
@@ -224,63 +222,103 @@ impl Experiment {
         Self::run_with_threads(scale_from_env(), 20230418, alias_exec::threads_from_env())
     }
 
-    /// Merge labelled set collections on this experiment's thread pool.
-    /// Byte-identical for any thread count.  The tables hold
-    /// report-boundary address sets, so this bridges them into a private
-    /// id space and runs [`merge_labeled_compact`]; the merged partition
-    /// (and its canonical order) is independent of interning order.
-    pub fn merge_labeled(&self, inputs: &[(&str, &[BTreeSet<IpAddr>])]) -> Vec<MergedSet> {
-        let mut interner = AddrInterner::new();
-        let compact: Vec<(&str, Vec<CompactAliasSet>)> = inputs
-            .iter()
-            .map(|&(label, sets)| {
-                (
-                    label,
-                    sets.iter()
-                        .map(|set| CompactAliasSet::from_addr_set(set, &mut interner))
-                        .collect(),
-                )
-            })
-            .collect();
-        let borrowed: Vec<(&str, &[CompactAliasSet])> =
-            compact.iter().map(|(l, s)| (*l, s.as_slice())).collect();
-        merge_labeled_compact(&borrowed, &interner, self.threads)
-    }
-
-    /// The columnar store of one data source (`None` = union).
-    pub fn store_for(&self, source: Option<DataSource>) -> &ObservationStore {
-        match source {
-            Some(DataSource::Active) => &self.active,
-            Some(DataSource::Censys) => &self.censys,
-            None => &self.union,
-        }
-    }
-
-    /// Alias-set collection for one protocol and data source (None = union).
+    /// Identifier grouping of one protocol and data source (`None` = both
+    /// sources) over the union store, in union ids.
     ///
-    /// Collections are memoised: grouping is deterministic for a built
-    /// experiment, and the tables and figures ask for the same handful of
-    /// (protocol, source) pairs over and over.  Grouping consumes a column
-    /// view — the protocol filter reads one byte per row, and only the
-    /// matching rows' payloads are extracted.
+    /// Sets come in table order: larger sets first, then by smallest
+    /// address, then in the order their identifiers were first seen.
+    /// Table 2's MIDAR sample and the ground-truth lines of [`stats`]
+    /// depend on it, because an address can sit in two sets when its host
+    /// was re-keyed between the snapshot and the scan.  Groupings are
+    /// memoised: the tables and figures ask for the same handful of
+    /// (protocol, source) pairs over and over.
     pub fn collection(
         &self,
         protocol: ServiceProtocol,
         source: Option<DataSource>,
-    ) -> Arc<AliasSetCollection> {
+    ) -> Arc<CompactGrouping> {
         let key = (protocol, source);
         if let Some(cached) = self.collections.lock().get(&key) {
             return cached.clone();
         }
-        let view = self.store_for(source).select_protocol(protocol, None);
-        let computed = Arc::new(AliasSetCollection::from_view(&view, &self.extractor));
+        let view = self.union.select_protocol(protocol, source);
+        let mut grouping = group_view_compact(&view, &self.extractor, self.threads);
+        sort_table_order(&mut grouping.sets, self.union.interner());
         // Recomputing on a race is harmless (identical result); keep the
         // first entry so every caller shares one allocation.
         self.collections
             .lock()
             .entry(key)
-            .or_insert(computed)
+            .or_insert(Arc::new(grouping))
             .clone()
+    }
+
+    /// The alias sets of one address family: [`Self::collection`]'s sets
+    /// cut down to their IPv4 (or IPv6) members, keeping those that still
+    /// have two, in table order.
+    pub fn alias_sets(
+        &self,
+        protocol: ServiceProtocol,
+        source: Option<DataSource>,
+        ipv6: bool,
+    ) -> Vec<CompactAliasSet> {
+        let interner = self.union.interner();
+        self.collection(protocol, source)
+            .sets
+            .iter()
+            .map(|set| {
+                CompactAliasSet::from_ids(
+                    set.iter()
+                        .filter(|&id| interner.addr(id).is_ipv6() == ipv6)
+                        .collect(),
+                )
+            })
+            .filter(|set| set.len() >= 2)
+            .collect()
+    }
+
+    /// Every protocol's alias sets of one family and source, labelled by
+    /// protocol name.
+    fn labeled(&self, source: Option<DataSource>, ipv6: bool) -> Labeled {
+        PROTOCOLS
+            .iter()
+            .map(|&p| (p.name(), self.alias_sets(p, source, ipv6)))
+            .collect()
+    }
+
+    /// Dual-stack sets of one protocol over both sources.
+    fn dual_stack(&self, protocol: ServiceProtocol) -> DualStackReport {
+        DualStackReport::from_sets(&self.collection(protocol, None).sets, self.union.interner())
+    }
+
+    /// Every protocol's dual-stack sets as whole alias sets, labelled by
+    /// protocol name.
+    fn dual_stack_labeled(&self) -> Labeled {
+        PROTOCOLS
+            .iter()
+            .map(|&p| {
+                let report = self.dual_stack(p);
+                (
+                    p.name(),
+                    report.sets.iter().map(DualStackSet::members).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// Merge labelled union-id sets into address-resolved merged sets, on
+    /// this experiment's thread pool.  Byte-identical for any thread count.
+    fn merge(&self, labeled: &Labeled) -> Vec<MergedSet> {
+        merge_labeled_compact(&merge_inputs(labeled), self.union.interner(), self.threads)
+    }
+
+    /// [`Self::merge`] left in union ids, for counts and AS statistics.
+    fn merge_ids(&self, labeled: &Labeled) -> MergedGroups {
+        merge_labeled_ids(
+            &merge_inputs(labeled),
+            self.union.interner().len(),
+            self.threads,
+        )
     }
 
     /// Per-protocol responsive addresses of one family in the union data,
@@ -313,26 +351,18 @@ impl Experiment {
                 .filter_map(|(&id, &asn)| asn.map(|asn| (id, asn))),
         )
     }
+}
 
-    /// Bridge report-boundary address sets back into the union store's id
-    /// space (every table set is built from observed addresses, so lookups
-    /// cannot miss).
-    fn compact_in(&self, sets: &[BTreeSet<IpAddr>]) -> Vec<CompactAliasSet> {
-        let interner = self.union.interner();
-        sets.iter()
-            .map(|set| {
-                CompactAliasSet::from_ids(
-                    set.iter()
-                        .map(|&addr| {
-                            interner
-                                .get(addr)
-                                .expect("experiment sets only contain observed addresses")
-                        })
-                        .collect(),
-                )
-            })
-            .collect()
-    }
+/// Sort grouped sets into table order: larger sets first, then by smallest
+/// address.  The sort is stable, so sets tied on both keep the grouping's
+/// first-seen identifier order.
+fn sort_table_order(sets: &mut [CompactAliasSet], interner: &AddrInterner) {
+    sets.sort_by_cached_key(|set| (Reverse(set.len()), set.min_addr(interner)));
+}
+
+/// Labelled set lists as the borrowed slices the merges take.
+fn merge_inputs(labeled: &Labeled) -> Vec<(&str, &[CompactAliasSet])> {
+    labeled.iter().map(|(l, s)| (*l, s.as_slice())).collect()
 }
 
 const PROTOCOLS: [ServiceProtocol; 3] = [
@@ -352,9 +382,9 @@ pub fn table1(exp: &Experiment) -> String {
         "Union #IPs",
         "Union #ASN",
     ]);
-    let cell = |store: &ObservationStore, protocol, source, ipv6| {
+    let cell = |protocol, source, ipv6| {
         let summary = DatasetSummary::from_store(
-            store,
+            &exp.union,
             DatasetFilter {
                 protocol,
                 source,
@@ -373,9 +403,9 @@ pub fn table1(exp: &Experiment) -> String {
         ("SNMPv3 (IPv6)", Some(ServiceProtocol::Snmpv3), true),
         ("Union (IPv6)", None, true),
     ] {
-        let active = cell(&exp.active, protocol, None, ipv6);
-        let censys = cell(&exp.censys, protocol, None, ipv6);
-        let union = cell(&exp.union, protocol, None, ipv6);
+        let active = cell(protocol, Some(DataSource::Active), ipv6);
+        let censys = cell(protocol, Some(DataSource::Censys), ipv6);
+        let union = cell(protocol, None, ipv6);
         table.row([
             label.to_owned(),
             active.0,
@@ -397,40 +427,18 @@ pub fn table1(exp: &Experiment) -> String {
 
 /// Table 2: alias-set validation (cross-protocol and against MIDAR).
 pub fn table2(exp: &Experiment) -> String {
-    let ssh = exp.collection(ServiceProtocol::Ssh, None);
-    let bgp = exp.collection(ServiceProtocol::Bgp, None);
-    let snmp = exp.collection(ServiceProtocol::Snmpv3, None);
-    let ssh_sets = ssh.ipv4_sets();
-    let bgp_sets = bgp.ipv4_sets();
-    let snmp_sets = snmp.ipv4_sets();
-    // Cross-protocol validation runs in the union store's id space; the
-    // counts are invariant under the addr↔id relabeling, so the rendered
-    // rows match the historical address-space computation byte for byte.
-    let ssh_compact = exp.compact_in(&ssh_sets);
-    let bgp_compact = exp.compact_in(&bgp_sets);
-    let snmp_compact = exp.compact_in(&snmp_sets);
-
+    let ssh_sets = exp.alias_sets(ServiceProtocol::Ssh, None, false);
+    let bgp_sets = exp.alias_sets(ServiceProtocol::Bgp, None, false);
+    let snmp_sets = exp.alias_sets(ServiceProtocol::Snmpv3, None, false);
     let ssh_ids = exp.responsive_ids(ServiceProtocol::Ssh, false);
     let bgp_ids = exp.responsive_ids(ServiceProtocol::Bgp, false);
     let snmp_ids = exp.responsive_ids(ServiceProtocol::Snmpv3, false);
 
     let mut table = TextTable::new(["Pair", "Sample size", "Agree", "Disagree", "Agreement"]);
     for (label, a_sets, b_sets, a_ids, b_ids) in [
-        ("SSH-BGP", &ssh_compact, &bgp_compact, &ssh_ids, &bgp_ids),
-        (
-            "SSH-SNMPv3",
-            &ssh_compact,
-            &snmp_compact,
-            &ssh_ids,
-            &snmp_ids,
-        ),
-        (
-            "BGP-SNMPv3",
-            &bgp_compact,
-            &snmp_compact,
-            &bgp_ids,
-            &snmp_ids,
-        ),
+        ("SSH-BGP", &ssh_sets, &bgp_sets, &ssh_ids, &bgp_ids),
+        ("SSH-SNMPv3", &ssh_sets, &snmp_sets, &ssh_ids, &snmp_ids),
+        ("BGP-SNMPv3", &bgp_sets, &snmp_sets, &bgp_ids, &snmp_ids),
     ] {
         let common = common_ids(a_ids, b_ids);
         let result = cross_validate(a_sets, b_sets, &common);
@@ -443,12 +451,13 @@ pub fn table2(exp: &Experiment) -> String {
         ]);
     }
 
-    // SSH vs MIDAR on a sample of sets with at most ten addresses.
+    // SSH vs MIDAR on a sample of sets with at most ten addresses; MIDAR
+    // probes each set's addresses in ascending order.
     let sample: Vec<BTreeSet<IpAddr>> = ssh_sets
         .iter()
         .filter(|s| s.len() <= 10)
         .take(2_000)
-        .cloned()
+        .map(|s| s.to_addr_set(exp.union.interner()))
         .collect();
     let targets: Vec<IpAddr> = sample.iter().flatten().copied().collect();
     let midar = Midar::new(MidarConfig::default()).resolve(
@@ -518,9 +527,8 @@ pub fn table3(exp: &Experiment) -> String {
                 } else {
                     source
                 };
-                let collection = exp.collection(protocol, effective_source);
-                let sets = collection.family_sets(ipv6);
-                let addrs: usize = sets.iter().map(BTreeSet::len).sum();
+                let sets = exp.alias_sets(protocol, effective_source, ipv6);
+                let addrs: usize = sets.iter().map(CompactAliasSet::len).sum();
                 if protocol == ServiceProtocol::Snmpv3 && source == Some(DataSource::Censys) {
                     cells.push("n.a.".to_owned());
                 } else {
@@ -532,13 +540,8 @@ pub fn table3(exp: &Experiment) -> String {
                 }
                 labeled.push((protocol.name(), sets));
             }
-            let merged = exp.merge_labeled(
-                &labeled
-                    .iter()
-                    .map(|(l, s)| (*l, s.as_slice()))
-                    .collect::<Vec<_>>(),
-            );
-            let union_addrs: usize = merged.iter().map(|m| m.addrs.len()).sum();
+            let merged = exp.merge_ids(&labeled).sets;
+            let union_addrs: usize = merged.iter().map(CompactAliasSet::len).sum();
             let source_label = match source {
                 Some(DataSource::Active) => "Active",
                 Some(DataSource::Censys) => "Censys",
@@ -566,31 +569,16 @@ pub fn table3(exp: &Experiment) -> String {
 /// Table 4: dual-stack sets.
 pub fn table4(exp: &Experiment) -> String {
     let mut table = TextTable::new(["Protocol", "IPv4 addr", "IPv6 addr", "Dual-stack sets"]);
-    let mut labeled: Vec<(&str, Vec<BTreeSet<IpAddr>>)> = Vec::new();
     for protocol in PROTOCOLS {
-        let collection = exp.collection(protocol, None);
-        let report = DualStackReport::from_collection(&collection);
+        let report = exp.dual_stack(protocol);
         table.row([
             protocol.name().to_uppercase(),
             format_count(report.ipv4_addresses()),
             format_count(report.ipv6_addresses()),
             format_count(report.set_count()),
         ]);
-        labeled.push((
-            protocol.name(),
-            report
-                .sets
-                .iter()
-                .map(|s| s.ipv4.iter().chain(&s.ipv6).copied().collect())
-                .collect(),
-        ));
     }
-    let merged = exp.merge_labeled(
-        &labeled
-            .iter()
-            .map(|(l, s)| (*l, s.as_slice()))
-            .collect::<Vec<_>>(),
-    );
+    let merged = exp.merge(&exp.dual_stack_labeled());
     let v4: usize = merged
         .iter()
         .map(|m| m.addrs.iter().filter(|a| a.is_ipv4()).count())
@@ -606,8 +594,6 @@ pub fn table4(exp: &Experiment) -> String {
         format_count(merged.len()),
     ]);
     let attribution = ProtocolAttribution::compute(&merged);
-    let ssh_union = exp.collection(ServiceProtocol::Ssh, None);
-    let ssh_report = DualStackReport::from_collection(&ssh_union);
     let (simple, medium, large) = {
         // Size split over the union of protocol dual-stack reports uses SSH's
         // report as the dominant contributor plus the merged sets directly.
@@ -636,7 +622,7 @@ pub fn table4(exp: &Experiment) -> String {
     ));
     out.push_str(&format!(
         "SSH alone contributes {} dual-stack sets.\n",
-        format_count(ssh_report.set_count())
+        format_count(exp.dual_stack(ServiceProtocol::Ssh).set_count())
     ));
     out
 }
@@ -644,25 +630,12 @@ pub fn table4(exp: &Experiment) -> String {
 /// Table 5: top 10 ASes for IPv4 alias sets, per protocol and union.
 pub fn table5(exp: &Experiment) -> String {
     let asns = exp.asn_table();
-    let mut columns: Vec<Vec<(u32, usize)>> = Vec::new();
-    let mut labeled = Vec::new();
-    for protocol in PROTOCOLS {
-        let collection = exp.collection(protocol, None);
-        let sets = collection.ipv4_sets();
-        columns.push(analysis::top_ases(&exp.compact_in(&sets), &asns, 10));
-        labeled.push((protocol.name(), sets));
-    }
-    let merged: Vec<BTreeSet<IpAddr>> = exp
-        .merge_labeled(
-            &labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        )
-        .into_iter()
-        .map(|m| m.addrs)
+    let labeled = exp.labeled(None, false);
+    let mut columns: Vec<Vec<(u32, usize)>> = labeled
+        .iter()
+        .map(|(_, sets)| analysis::top_ases(sets, &asns, 10))
         .collect();
-    columns.push(analysis::top_ases(&exp.compact_in(&merged), &asns, 10));
+    columns.push(analysis::top_ases(&exp.merge_ids(&labeled).sets, &asns, 10));
 
     let mut table = TextTable::new(["Rank", "SSH", "BGP", "SNMPv3", "Union"]);
     for rank in 0..10 {
@@ -688,49 +661,10 @@ pub fn table5(exp: &Experiment) -> String {
 /// Table 6: top 10 ASes for IPv6 alias sets and dual-stack sets.
 pub fn table6(exp: &Experiment) -> String {
     let asns = exp.asn_table();
-    let mut v6_labeled = Vec::new();
-    let mut ds_labeled = Vec::new();
-    for protocol in PROTOCOLS {
-        let collection = exp.collection(protocol, None);
-        v6_labeled.push((protocol.name(), collection.ipv6_sets()));
-        let report = DualStackReport::from_collection(&collection);
-        ds_labeled.push((
-            protocol.name(),
-            report
-                .sets
-                .iter()
-                .map(|s| {
-                    s.ipv4
-                        .iter()
-                        .chain(&s.ipv6)
-                        .copied()
-                        .collect::<BTreeSet<IpAddr>>()
-                })
-                .collect::<Vec<_>>(),
-        ));
-    }
-    let v6_union: Vec<BTreeSet<IpAddr>> = exp
-        .merge_labeled(
-            &v6_labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        )
-        .into_iter()
-        .map(|m| m.addrs)
-        .collect();
-    let ds_union: Vec<BTreeSet<IpAddr>> = exp
-        .merge_labeled(
-            &ds_labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        )
-        .into_iter()
-        .map(|m| m.addrs)
-        .collect();
-    let v6_top = analysis::top_ases(&exp.compact_in(&v6_union), &asns, 10);
-    let ds_top = analysis::top_ases(&exp.compact_in(&ds_union), &asns, 10);
+    let v6_union = exp.merge_ids(&exp.labeled(None, true)).sets;
+    let ds_union = exp.merge_ids(&exp.dual_stack_labeled()).sets;
+    let v6_top = analysis::top_ases(&v6_union, &asns, 10);
+    let ds_top = analysis::top_ases(&ds_union, &asns, 10);
 
     let mut table = TextTable::new(["Rank", "IPv6", "Dual-stack"]);
     for rank in 0..10 {
@@ -746,8 +680,8 @@ pub fn table6(exp: &Experiment) -> String {
     out.push_str(&table.render());
     out.push_str(&format!(
         "\nIPv6 alias sets spread over {} ASes; dual-stack sets over {} ASes.\n",
-        format_count(analysis::ases_with_sets(&exp.compact_in(&v6_union), &asns)),
-        format_count(analysis::ases_with_sets(&exp.compact_in(&ds_union), &asns)),
+        format_count(analysis::ases_with_sets(&v6_union, &asns)),
+        format_count(analysis::ases_with_sets(&ds_union, &asns)),
     ));
     out
 }
@@ -766,43 +700,37 @@ fn ecdf_series(title: &str, series: Vec<(&str, Ecdf)>) -> String {
     out
 }
 
+/// ECDF of the set sizes of one protocol, source and family.
+fn size_ecdf(exp: &Experiment, protocol: ServiceProtocol, source: DataSource, ipv6: bool) -> Ecdf {
+    Ecdf::from_counts(
+        exp.alias_sets(protocol, Some(source), ipv6)
+            .iter()
+            .map(CompactAliasSet::len),
+    )
+}
+
 /// Figure 3: ECDF of IPv4 addresses per alias set.
 pub fn figure3(exp: &Experiment) -> String {
     let series = vec![
         (
             "Censys BGP",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Bgp, Some(DataSource::Censys))
-                    .set_sizes(false),
-            ),
+            size_ecdf(exp, ServiceProtocol::Bgp, DataSource::Censys, false),
         ),
         (
             "Active BGP",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Bgp, Some(DataSource::Active))
-                    .set_sizes(false),
-            ),
+            size_ecdf(exp, ServiceProtocol::Bgp, DataSource::Active, false),
         ),
         (
             "Censys SSH",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Ssh, Some(DataSource::Censys))
-                    .set_sizes(false),
-            ),
+            size_ecdf(exp, ServiceProtocol::Ssh, DataSource::Censys, false),
         ),
         (
             "Active SSH",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Ssh, Some(DataSource::Active))
-                    .set_sizes(false),
-            ),
+            size_ecdf(exp, ServiceProtocol::Ssh, DataSource::Active, false),
         ),
         (
             "Active SNMPv3",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Snmpv3, Some(DataSource::Active))
-                    .set_sizes(false),
-            ),
+            size_ecdf(exp, ServiceProtocol::Snmpv3, DataSource::Active, false),
         ),
     ];
     ecdf_series("Figure 3: IPv4 addresses per alias set (ECDF)", series)
@@ -813,24 +741,15 @@ pub fn figure4(exp: &Experiment) -> String {
     let series = vec![
         (
             "Active SSH",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Ssh, Some(DataSource::Active))
-                    .set_sizes(true),
-            ),
+            size_ecdf(exp, ServiceProtocol::Ssh, DataSource::Active, true),
         ),
         (
             "Active BGP",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Bgp, Some(DataSource::Active))
-                    .set_sizes(true),
-            ),
+            size_ecdf(exp, ServiceProtocol::Bgp, DataSource::Active, true),
         ),
         (
             "Active SNMPv3",
-            Ecdf::from_counts(
-                exp.collection(ServiceProtocol::Snmpv3, Some(DataSource::Active))
-                    .set_sizes(true),
-            ),
+            size_ecdf(exp, ServiceProtocol::Snmpv3, DataSource::Active, true),
         ),
     ];
     ecdf_series("Figure 4: IPv6 addresses per alias set (ECDF)", series)
@@ -839,22 +758,20 @@ pub fn figure4(exp: &Experiment) -> String {
 /// Figure 5: ECDF of ASes per IPv4 alias set.
 pub fn figure5(exp: &Experiment) -> String {
     let asns = exp.asn_table();
-    let series = PROTOCOLS
+    let counts: Vec<(&str, Vec<usize>)> = exp
+        .labeled(None, false)
+        .into_iter()
+        .map(|(name, sets)| (name, analysis::asns_per_set(&sets, &asns)))
+        .collect();
+    let series = counts
         .iter()
-        .map(|&protocol| {
-            let sets = exp.collection(protocol, None).ipv4_sets();
-            let counts = analysis::asns_per_set(&exp.compact_in(&sets), &asns);
-            (protocol.name(), Ecdf::from_counts(counts))
-        })
-        .collect::<Vec<_>>();
+        .map(|(name, counts)| (*name, Ecdf::from_counts(counts.iter().copied())))
+        .collect();
     let mut out = ecdf_series("Figure 5: ASNs per IPv4 alias set (ECDF)", series);
-    for protocol in PROTOCOLS {
-        let sets = exp.collection(protocol, None).ipv4_sets();
-        let counts = analysis::asns_per_set(&exp.compact_in(&sets), &asns);
+    for (name, counts) in &counts {
         let multi = counts.iter().filter(|&&c| c >= 2).count();
         out.push_str(&format!(
-            "# {}: {} of sets span 2+ ASes\n",
-            protocol.name(),
+            "# {name}: {} of sets span 2+ ASes\n",
             format_pct(multi as f64 / counts.len().max(1) as f64)
         ));
     }
@@ -864,51 +781,12 @@ pub fn figure5(exp: &Experiment) -> String {
 /// Figure 6: ECDF of the number of alias / dual-stack sets per AS.
 pub fn figure6(exp: &Experiment) -> String {
     let asns = exp.asn_table();
-    let mut labeled = Vec::new();
-    let mut ds_labeled = Vec::new();
-    for protocol in PROTOCOLS {
-        let collection = exp.collection(protocol, None);
-        labeled.push((protocol.name(), collection.ipv4_sets()));
-        let report = DualStackReport::from_collection(&collection);
-        ds_labeled.push((
-            protocol.name(),
-            report
-                .sets
-                .iter()
-                .map(|s| {
-                    s.ipv4
-                        .iter()
-                        .chain(&s.ipv6)
-                        .copied()
-                        .collect::<BTreeSet<IpAddr>>()
-                })
-                .collect::<Vec<_>>(),
-        ));
-    }
-    let alias_union: Vec<BTreeSet<IpAddr>> = exp
-        .merge_labeled(
-            &labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        )
-        .into_iter()
-        .map(|m| m.addrs)
-        .collect();
-    let ds_union: Vec<BTreeSet<IpAddr>> = exp
-        .merge_labeled(
-            &ds_labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        )
-        .into_iter()
-        .map(|m| m.addrs)
-        .collect();
-    let alias_counts: Vec<usize> = analysis::sets_per_as(&exp.compact_in(&alias_union), &asns)
+    let alias_union = exp.merge_ids(&exp.labeled(None, false)).sets;
+    let ds_union = exp.merge_ids(&exp.dual_stack_labeled()).sets;
+    let alias_counts: Vec<usize> = analysis::sets_per_as(&alias_union, &asns)
         .into_values()
         .collect();
-    let ds_counts: Vec<usize> = analysis::sets_per_as(&exp.compact_in(&ds_union), &asns)
+    let ds_counts: Vec<usize> = analysis::sets_per_as(&ds_union, &asns)
         .into_values()
         .collect();
     let ases_with_alias = alias_counts.len();
@@ -941,19 +819,19 @@ pub fn stats(exp: &Experiment) -> String {
     ));
 
     // §2.2: non-singleton SSH hosts with diverging capabilities.
-    let ssh = exp.collection(ServiceProtocol::Ssh, None);
     let key_only = IdentifierExtractor::new(ExtractionConfig {
         ssh: alias_core::identifier::SshIdentifierPolicy::KeyOnly,
         ..ExtractionConfig::paper()
     });
-    let ssh_by_key = AliasSetCollection::from_view(
+    let ssh_by_key = group_view_compact(
         &exp.union.select_protocol(ServiceProtocol::Ssh, None),
         &key_only,
+        exp.threads,
     );
     // The full identifier splits a key-grouped set whenever interfaces of
     // the same host advertise diverging capabilities (the paper's 0.4%).
-    let full_sets = ssh.non_singleton_sets().len();
-    let key_sets = ssh_by_key.non_singleton_sets().len();
+    let full_sets = exp.collection(ServiceProtocol::Ssh, None).sets.len();
+    let key_sets = ssh_by_key.sets.len();
     let diverging = full_sets.saturating_sub(key_sets);
     out.push_str(&format!(
         "Non-singleton SSH hosts whose interfaces disagree on capabilities: {} of {} key-grouped sets ({:.1}%)\n",
@@ -979,17 +857,7 @@ pub fn stats(exp: &Experiment) -> String {
 
     // §4.1: share of union alias sets only SNMPv3 can identify.
     for ipv6 in [false, true] {
-        let labeled: Vec<(&str, Vec<BTreeSet<IpAddr>>)> = PROTOCOLS
-            .iter()
-            .map(|&p| (p.name(), exp.collection(p, None).family_sets(ipv6)))
-            .collect();
-        let merged = exp.merge_labeled(
-            &labeled
-                .iter()
-                .map(|(l, s)| (*l, s.as_slice()))
-                .collect::<Vec<_>>(),
-        );
-        let attribution = ProtocolAttribution::compute(&merged);
+        let attribution = ProtocolAttribution::compute(&exp.merge(&exp.labeled(None, ipv6)));
         out.push_str(&format!(
             "{} union alias sets: {} total, {} only via SNMPv3, {} via SSH or BGP\n",
             if ipv6 { "IPv6" } else { "IPv4" },
@@ -1003,9 +871,12 @@ pub fn stats(exp: &Experiment) -> String {
     // simulated substrate).
     let truth = exp.internet.ground_truth();
     for protocol in PROTOCOLS {
-        let collection = exp.collection(protocol, None);
-        let sets = collection.ipv4_sets();
-        let score = truth.score_sets(sets.iter().map(|s| s.iter()));
+        let sets: Vec<BTreeSet<IpAddr>> = exp
+            .alias_sets(protocol, None, false)
+            .iter()
+            .map(|s| s.to_addr_set(exp.union.interner()))
+            .collect();
+        let score = truth.score_sets(&sets);
         out.push_str(&format!(
             "Ground truth ({}): pairwise precision {:.3}, recall {:.3}\n",
             protocol.name(),
@@ -1546,6 +1417,8 @@ pub fn median_run(threads: usize, samples: &[(StageTimings, Vec<TechniqueTiming>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alias_core::alias_set::AliasSetCollection;
+    use alias_core::intern::sort_canonical_compact;
 
     fn tiny_experiment() -> Experiment {
         Experiment::run(ScalePreset::Tiny, 7)
@@ -1563,16 +1436,118 @@ mod tests {
     fn union_contains_both_sources() {
         let exp = tiny_experiment();
         let sources = exp.union.sources();
-        assert!(sources.contains(&alias_scan::SourceTag::Active));
-        assert!(sources.contains(&alias_scan::SourceTag::Censys));
-        assert!(exp.union.len() > exp.active.len());
-        // The union rows are the active rows followed by the Censys rows.
-        assert_eq!(
-            &sources[..exp.active.len()],
-            exp.active.sources(),
-            "active rows first"
+        // The union rows are the campaign's rows followed by the Censys
+        // default-port rows.
+        let active_rows = sources
+            .iter()
+            .take_while(|&&s| s == alias_scan::SourceTag::Active)
+            .count();
+        assert!(active_rows > 0);
+        assert!(sources[active_rows..]
+            .iter()
+            .all(|&s| s == alias_scan::SourceTag::Censys));
+        // Same preset and seed as the experiment's day-0 snapshot.
+        let internet = InternetBuilder::new(InternetConfig::preset(ScalePreset::Tiny, 7)).build();
+        let snapshot = CensysSnapshot::collect(
+            &internet,
+            CensysConfig {
+                snapshot_time: SimTime::ZERO,
+                seed: 7,
+                ..Default::default()
+            },
         );
-        assert_eq!(&sources[exp.active.len()..], exp.censys.sources());
+        let censys_rows = snapshot.default_port_observations().len();
+        assert!(censys_rows > 0);
+        assert_eq!(exp.union.len(), active_rows + censys_rows);
+        // Every campaign id keeps its value in the union's id space.
+        let campaign = exp.resolution.techniques[0].interner();
+        assert_eq!(
+            &exp.union.interner().addrs()[..campaign.len()],
+            campaign.addrs()
+        );
+    }
+
+    #[test]
+    fn table_order_puts_the_identifier_seen_first_first_on_ties() {
+        use alias_scan::{ServiceObservation, ServicePayload};
+        use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, SshObservation};
+        let ssh = |addr: &str, key: u8, source| ServiceObservation {
+            addr: addr.parse().unwrap(),
+            port: 22,
+            source,
+            timestamp: SimTime::ZERO,
+            asn: None,
+            payload: ServicePayload::Ssh(SshObservation {
+                banner: Banner::new("OpenSSH_8.9p1", None).unwrap(),
+                kex_init: Some(KexInit::typical_openssh()),
+                host_key: Some(HostKey::new(HostKeyAlgorithm::Ed25519, vec![key; 32])),
+            }),
+        };
+        // One host re-keyed between the snapshot (key 1) and the scan
+        // (key 2): two sets of the same size and the same smallest
+        // address.  A larger set and a set with a smaller address pin the
+        // other two keys.
+        let active = vec![
+            ssh("10.0.0.1", 2, DataSource::Active),
+            ssh("10.0.0.3", 2, DataSource::Active),
+            ssh("10.9.0.1", 3, DataSource::Active),
+            ssh("10.9.0.2", 3, DataSource::Active),
+            ssh("10.9.0.3", 3, DataSource::Active),
+            ssh("10.0.0.0", 4, DataSource::Active),
+            ssh("10.8.0.0", 4, DataSource::Active),
+        ];
+        let censys = vec![
+            ssh("10.0.0.1", 1, DataSource::Censys),
+            ssh("10.0.0.2", 1, DataSource::Censys),
+        ];
+        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
+        let ordered = |rows: Vec<ServiceObservation>| {
+            let store = ObservationStore::from_observations(rows);
+            let mut sets = group_view_compact(&store.view_all(), &extractor, 1).sets;
+            sort_table_order(&mut sets, store.interner());
+            let resolved: Vec<BTreeSet<IpAddr>> = sets
+                .iter()
+                .map(|s| s.to_addr_set(store.interner()))
+                .collect();
+            // The tables' order is the row-model oracle's order.
+            let oracle: Vec<BTreeSet<IpAddr>> =
+                AliasSetCollection::from_view(&store.view_all(), &extractor)
+                    .non_singleton_sets()
+                    .into_iter()
+                    .map(|s| s.addrs.clone())
+                    .collect();
+            assert_eq!(resolved, oracle);
+            resolved
+                .iter()
+                .map(|s| {
+                    s.iter()
+                        .map(ToString::to_string)
+                        .collect::<Vec<_>>()
+                        .join(",")
+                })
+                .collect::<Vec<_>>()
+        };
+        let scan_first: Vec<ServiceObservation> = active.iter().chain(&censys).cloned().collect();
+        assert_eq!(
+            ordered(scan_first),
+            [
+                "10.9.0.1,10.9.0.2,10.9.0.3",
+                "10.0.0.0,10.8.0.0",
+                "10.0.0.1,10.0.0.3",
+                "10.0.0.1,10.0.0.2"
+            ]
+        );
+        let snapshot_first: Vec<ServiceObservation> =
+            censys.iter().chain(&active).cloned().collect();
+        assert_eq!(
+            ordered(snapshot_first),
+            [
+                "10.9.0.1,10.9.0.2,10.9.0.3",
+                "10.0.0.0,10.8.0.0",
+                "10.0.0.1,10.0.0.2",
+                "10.0.0.1,10.0.0.3"
+            ]
+        );
     }
 
     #[test]
@@ -1758,7 +1733,8 @@ mod tests {
     fn resolution_report_matches_the_legacy_collection_path() {
         // The redesign guarantee at harness level: the Resolver-produced
         // per-technique sets equal what the table functions compute through
-        // `Experiment::collection` over the same (active) observations.
+        // `Experiment::collection` over the same (active) observations —
+        // id for id, since the union store extends the campaign's id space.
         let exp = tiny_experiment();
         assert_eq!(exp.resolution.techniques.len(), PROTOCOLS.len());
         for protocol in PROTOCOLS {
@@ -1766,15 +1742,17 @@ mod tests {
                 .resolution
                 .technique(protocol.name())
                 .expect("paper technique present");
-            let legacy = exp.collection(protocol, Some(DataSource::Active));
-            let legacy_sets = alias_resolve::canonical_sets(
-                legacy
-                    .non_singleton_sets()
-                    .into_iter()
-                    .map(|s| s.addrs.clone())
-                    .collect(),
+            let mut sets = exp
+                .collection(protocol, Some(DataSource::Active))
+                .sets
+                .clone();
+            sort_canonical_compact(&mut sets, exp.union.interner());
+            assert_eq!(
+                result.compact_sets(),
+                sets.as_slice(),
+                "{}",
+                protocol.name()
             );
-            assert_eq!(result.alias_sets(), legacy_sets, "{}", protocol.name());
         }
         assert_eq!(
             exp.resolution.technique_timings.len(),
@@ -1814,8 +1792,8 @@ mod tests {
     #[test]
     fn ssh_dominates_alias_sets() {
         let exp = tiny_experiment();
-        let ssh = exp.collection(ServiceProtocol::Ssh, None).ipv4_sets().len();
-        let bgp = exp.collection(ServiceProtocol::Bgp, None).ipv4_sets().len();
+        let ssh = exp.alias_sets(ServiceProtocol::Ssh, None, false).len();
+        let bgp = exp.alias_sets(ServiceProtocol::Bgp, None, false).len();
         assert!(ssh > bgp, "ssh={ssh} bgp={bgp}");
     }
 }

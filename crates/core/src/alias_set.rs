@@ -1,17 +1,16 @@
 //! Alias sets: groups of addresses sharing a protocol identifier.
 //!
-//! Grouping runs in id space: identifiers are interned to
-//! [`IdentId`](crate::intern::IdentId)s and
-//! addresses to [`AddrId`]s, so the per-observation work is two hash
-//! lookups and a `Vec` push — no owned-`String` map keys, no per-insert
-//! ordered-set rebalancing.  Addresses come back only when a collection or
-//! [`CompactGrouping`] is materialised for reports.
+//! [`group_view_compact`] is the grouper: it runs in id space, interning
+//! identifiers to [`IdentId`](crate::intern::IdentId)s and reading each
+//! row's [`AddrId`] straight from the store, so the per-observation work
+//! is one payload extraction, one identifier hash and a `Vec` push.
+//! [`AliasSetCollection::from_view`] is the address-space reference
+//! oracle the parity tests compare it against.
 
-use crate::analysis::AsnTable;
 use crate::extract::IdentifierExtractor;
 use crate::identifier::ProtocolIdentifier;
-use crate::intern::{sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet, IdentInterner};
-use alias_scan::{ObservationSink, ObservationView, ServiceObservation, ServicePayload};
+use crate::intern::{AddrId, AddrInterner, CompactAliasSet, IdentInterner};
+use alias_scan::ObservationView;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::net::IpAddr;
@@ -27,18 +26,6 @@ pub struct AliasSet {
 }
 
 impl AliasSet {
-    /// IPv4 members.
-    // lint:allow(id-space): report boundary — family views are rendered output
-    pub fn ipv4_addrs(&self) -> BTreeSet<IpAddr> {
-        self.addrs.iter().copied().filter(IpAddr::is_ipv4).collect()
-    }
-
-    /// IPv6 members.
-    // lint:allow(id-space): report boundary — family views are rendered output
-    pub fn ipv6_addrs(&self) -> BTreeSet<IpAddr> {
-        self.addrs.iter().copied().filter(IpAddr::is_ipv6).collect()
-    }
-
     /// Total number of member addresses.
     pub fn len(&self) -> usize {
         self.addrs.len()
@@ -50,96 +37,42 @@ impl AliasSet {
     }
 }
 
-/// All alias sets produced from a batch of observations, together with the
-/// per-address AS annotation needed by the AS-level analysis.
+/// Every identifier group of a store view as resolved address sets — the
+/// reference oracle for [`group_view_compact`].
+///
+/// It groups by address rather than by the store's id column, one row at
+/// a time, so it shares no grouping code with the id-space path it checks.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AliasSetCollection {
     sets: Vec<AliasSet>,
-    /// Address → origin AS annotations carried over from the observations,
-    /// sorted by address for binary-search lookup.  Builders key the
-    /// annotations by [`AddrId`] while grouping; the pairs here are the
-    /// resolved rendering of that column.
-    asn_pairs: Vec<(IpAddr, u32)>,
 }
 
-/// Streaming construction of an [`AliasSetCollection`]: push observations
-/// one at a time (or as an [`ObservationSink`] fed by a producer), then
-/// [`finish`](Self::finish).
-///
-/// This is the single-pass path behind
-/// [`AliasSetCollection::from_observations`]; producers that stream —
-/// `CampaignData::stream_into`, record replayers — can group without ever
-/// materialising a `Vec<&ServiceObservation>` in between.
-#[derive(Debug, Clone, Default)]
-pub struct AliasSetBuilder {
-    extractor: IdentifierExtractor,
-    addrs: AddrInterner,
-    idents: IdentInterner,
-    /// Member ids per identifier, indexed by [`IdentId`]; may hold
-    /// duplicates until [`finish`](Self::finish) deduplicates.
-    groups: Vec<Vec<AddrId>>,
-    asn_of: AsnTable,
-}
-
-impl AliasSetBuilder {
-    /// A builder grouping with the given extraction policies.
-    pub fn new(extractor: IdentifierExtractor) -> Self {
-        AliasSetBuilder {
-            extractor,
-            addrs: AddrInterner::new(),
-            idents: IdentInterner::new(),
-            groups: Vec::new(),
-            asn_of: AsnTable::default(),
+impl AliasSetCollection {
+    /// Group the rows of a store view by extracted identifier.  Rows the
+    /// extractor cannot identify are dropped, exactly as the paper drops
+    /// hosts whose scan did not yield the required material.  Sets come
+    /// out larger first, then by smallest address, then in the order
+    /// their identifiers were first seen.
+    pub fn from_view(view: &ObservationView<'_>, extractor: &IdentifierExtractor) -> Self {
+        let mut idents = IdentInterner::new();
+        let mut groups: Vec<Vec<IpAddr>> = Vec::new();
+        for i in 0..view.len() {
+            let Some(identifier) = extractor.extract_payload(view.payload_at(i)) else {
+                continue;
+            };
+            let ident = idents.intern(identifier);
+            if ident.index() == groups.len() {
+                groups.push(Vec::new());
+            }
+            groups[ident.index()].push(view.addr_at(i));
         }
-    }
-
-    /// Consume one observation.  Observations the extractor cannot identify
-    /// are dropped, exactly as the paper drops hosts whose scan did not
-    /// yield the required material.
-    pub fn push(&mut self, observation: &ServiceObservation) {
-        self.push_parts(observation.addr, observation.asn, &observation.payload);
-    }
-
-    /// Consume one observation from its parts — the columnar entry point:
-    /// a store view hands over the address, the AS annotation and a
-    /// borrowed payload without materialising a row.
-    pub fn push_parts(&mut self, addr: IpAddr, asn: Option<u32>, payload: &ServicePayload) {
-        let Some(identifier) = self.extractor.extract_payload(payload) else {
-            return;
-        };
-        let ident = self.idents.intern(identifier);
-        if ident.index() == self.groups.len() {
-            self.groups.push(Vec::new());
-        }
-        let addr_id = self.addrs.intern(addr);
-        self.groups[ident.index()].push(addr_id);
-        if let Some(asn) = asn {
-            self.asn_of.annotate(addr_id, asn);
-        }
-    }
-
-    /// Finish grouping and produce the collection (deterministic order:
-    /// biggest sets first, ties broken by members).
-    pub fn finish(self) -> AliasSetCollection {
-        let addrs = self.addrs;
-        // Resolve the dense ASN column to sorted (address, ASN) pairs —
-        // walking ids in order is deterministic, the final order is by
-        // address for binary-search lookup.
-        let mut asn_pairs: Vec<(IpAddr, u32)> = (0..addrs.len() as u32)
-            .filter_map(|raw| {
-                let id = AddrId(raw);
-                self.asn_of.get(id).map(|asn| (addrs.addr(id), asn))
-            })
-            .collect();
-        asn_pairs.sort_unstable_by_key(|&(addr, _)| addr);
-        let mut sets: Vec<AliasSet> = self
-            .idents
+        let mut sets: Vec<AliasSet> = idents
             .into_keys()
             .into_iter()
-            .zip(self.groups)
-            .map(|(identifier, ids)| AliasSet {
+            .zip(groups)
+            .map(|(identifier, addrs)| AliasSet {
                 identifier,
-                addrs: ids.iter().map(|&id| addrs.addr(id)).collect(),
+                addrs: addrs.into_iter().collect(),
             })
             .collect();
         sets.sort_by(|a, b| {
@@ -147,42 +80,7 @@ impl AliasSetBuilder {
                 .cmp(&a.len())
                 .then_with(|| a.addrs.iter().next().cmp(&b.addrs.iter().next()))
         });
-        AliasSetCollection { sets, asn_pairs }
-    }
-}
-
-impl ObservationSink for AliasSetBuilder {
-    fn accept(&mut self, observation: &ServiceObservation) {
-        self.push(observation);
-    }
-}
-
-impl AliasSetCollection {
-    /// Group `observations` by extracted identifier.
-    ///
-    /// Grouping is identifier-based, so observations of the same address
-    /// from several sources collapse naturally.  This is the pull-based
-    /// convenience over [`AliasSetBuilder`], which also accepts pushed
-    /// (streamed) observations.
-    pub fn from_observations<'a, I>(observations: I, extractor: &IdentifierExtractor) -> Self
-    where
-        I: IntoIterator<Item = &'a ServiceObservation>,
-    {
-        let mut builder = AliasSetBuilder::new(*extractor);
-        builder.accept_all(observations);
-        builder.finish()
-    }
-
-    /// Group the rows of a columnar store view — the zero-materialisation
-    /// counterpart of [`Self::from_observations`]: addresses, AS
-    /// annotations and borrowed payloads are read straight from the
-    /// columns.
-    pub fn from_view(view: &ObservationView<'_>, extractor: &IdentifierExtractor) -> Self {
-        let mut builder = AliasSetBuilder::new(*extractor);
-        for i in 0..view.len() {
-            builder.push_parts(view.addr_at(i), view.asn_at(i), view.payload_at(i));
-        }
-        builder.finish()
+        AliasSetCollection { sets }
     }
 
     /// All sets (including singletons).
@@ -190,52 +88,9 @@ impl AliasSetCollection {
         &self.sets
     }
 
-    /// The AS annotations carried over from the observations, as
-    /// `(address, ASN)` pairs sorted by address.
-    pub fn asn_pairs(&self) -> &[(IpAddr, u32)] {
-        &self.asn_pairs
-    }
-
-    /// Origin AS of one address, if known.
-    pub fn asn(&self, addr: IpAddr) -> Option<u32> {
-        self.asn_pairs
-            .binary_search_by_key(&addr, |&(a, _)| a)
-            .ok()
-            .map(|i| self.asn_pairs[i].1)
-    }
-
     /// Sets with at least two members — what the paper calls alias sets.
     pub fn non_singleton_sets(&self) -> Vec<&AliasSet> {
         self.sets.iter().filter(|s| s.len() >= 2).collect()
-    }
-
-    /// Sets restricted to one address family, keeping only those that remain
-    /// non-singleton after the restriction (used for the per-family tables).
-    // lint:allow(id-space): report boundary — family views feed the rendered tables
-    pub fn family_sets(&self, ipv6: bool) -> Vec<BTreeSet<IpAddr>> {
-        self.sets
-            .iter()
-            .map(|s| if ipv6 { s.ipv6_addrs() } else { s.ipv4_addrs() })
-            .filter(|members| members.len() >= 2)
-            .collect()
-    }
-
-    /// Non-singleton IPv4 alias sets.
-    // lint:allow(id-space): report boundary — family views feed the rendered tables
-    pub fn ipv4_sets(&self) -> Vec<BTreeSet<IpAddr>> {
-        self.family_sets(false)
-    }
-
-    /// Non-singleton IPv6 alias sets.
-    // lint:allow(id-space): report boundary — family views feed the rendered tables
-    pub fn ipv6_sets(&self) -> Vec<BTreeSet<IpAddr>> {
-        self.family_sets(true)
-    }
-
-    /// Number of distinct addresses covered by the non-singleton sets of one
-    /// address family.
-    pub fn covered_addresses(&self, ipv6: bool) -> usize {
-        self.family_sets(ipv6).iter().map(BTreeSet::len).sum()
     }
 
     /// All distinct addresses in the collection (any family, any set size).
@@ -246,25 +101,20 @@ impl AliasSetCollection {
             .flat_map(|s| s.addrs.iter().copied())
             .collect()
     }
-
-    /// Set sizes of one address family (input for the ECDF figures).
-    pub fn set_sizes(&self, ipv6: bool) -> Vec<usize> {
-        self.family_sets(ipv6).iter().map(BTreeSet::len).collect()
-    }
 }
 
-/// Identifier grouping in id space: the output of
-/// [`group_observations_compact`].
+/// Identifier grouping in id space: the output of [`group_view_compact`].
 ///
-/// Alias sets are [`CompactAliasSet`]s over a campaign's [`AddrInterner`];
-/// addresses are resolved only at the report boundary.
+/// Alias sets are [`CompactAliasSet`]s over the grouped store's
+/// [`AddrInterner`]; addresses are resolved only at the report boundary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactGrouping {
-    /// Non-singleton alias sets in canonical order (ascending by smallest
-    /// member address, larger sets first on ties).
+    /// Non-singleton alias sets, in the order their identifiers were first
+    /// seen in the view.  Callers that report sets choose their own order
+    /// (the resolver sorts canonically, the paper's tables larger set
+    /// first).
     pub sets: Vec<CompactAliasSet>,
-    /// Every identified address (any set size), as sorted distinct ids —
-    /// the id-space equivalent of `AliasSetCollection::all_addresses`.
+    /// Every identified address (any set size), as sorted distinct ids.
     pub testable: Vec<AddrId>,
 }
 
@@ -276,81 +126,24 @@ impl CompactGrouping {
     }
 }
 
-/// Group observations by extracted identifier, entirely in id space, with
-/// `threads` shard workers.
-///
-/// Each shard groups its contiguous slice of the observations into maps
-/// keyed by a shard-local [`IdentId`](crate::intern::IdentId); the join
-/// then reduces in id space —
-/// walking every shard's interner in id order and re-interning only each
-/// shard's *distinct* identifiers — instead of re-hashing the full
-/// identifier material once per observation.  Because shards are contiguous
-/// slices reduced in shard order, the grouped output (including member
-/// order and identifier numbering) is identical for every thread count.
-///
-/// # Panics
-/// Panics if an observation's address is missing from `interner`; the
-/// campaign interner covers every observed address by construction, so this
-/// only fires when observations were mutated after the interner was built.
-pub fn group_observations_compact(
-    observations: &[&ServiceObservation],
-    extractor: &IdentifierExtractor,
-    interner: &AddrInterner,
-    threads: usize,
-) -> CompactGrouping {
-    group_compact_sharded(observations.len(), threads, interner, |range, emit| {
-        for observation in &observations[range.0..range.1] {
-            let Some(identifier) = extractor.extract(observation) else {
-                continue;
-            };
-            let addr = interner.get(observation.addr).expect(
-                "the interner must cover every observation address; rebuild the campaign \
-                 data (CampaignData::from_observations) after mutating observations",
-            );
-            emit(identifier, addr);
-        }
-    })
-}
-
 /// Group a columnar store view by extracted identifier, entirely in id
 /// space, with `threads` shard workers.
 ///
-/// The columnar counterpart of [`group_observations_compact`] — and the
-/// cheaper one: the view's [`AddrId`] column already holds each row's
-/// interned id (intern-at-scan), so the per-observation work is one payload
-/// extraction and one identifier hash, with no address hashing at all.
-/// Sharding and the id-space reduce are identical to the slice path, so
-/// the grouped output is the same for every thread count and for either
-/// entry point over the same rows.
+/// The view's [`AddrId`] column already holds each row's interned id
+/// (intern-at-scan), so the per-observation work is one payload extraction
+/// and one identifier hash, with no address hashing at all.  Each shard
+/// groups its contiguous slice of the rows into groups keyed by a
+/// shard-local [`IdentId`](crate::intern::IdentId); the join then reduces
+/// in id space — walking every shard's interner in id order and
+/// re-interning only each shard's *distinct* identifiers — instead of
+/// re-hashing the full identifier material once per observation.  Because
+/// shards are contiguous slices reduced in shard order, the output
+/// (member sets, set order, testable ids) is identical for every thread
+/// count.
 pub fn group_view_compact(
     view: &ObservationView<'_>,
     extractor: &IdentifierExtractor,
     threads: usize,
-) -> CompactGrouping {
-    group_compact_sharded(
-        view.len(),
-        threads,
-        view.store().interner(),
-        |range, emit| {
-            for i in range.0..range.1 {
-                let Some(identifier) = extractor.extract_payload(view.payload_at(i)) else {
-                    continue;
-                };
-                emit(identifier, view.addr_id_at(i));
-            }
-        },
-    )
-}
-
-/// The shared shard/reduce skeleton behind both compact grouping entry
-/// points: `scan` walks one half-open row range and emits
-/// `(identifier, addr id)` pairs; shards group locally and the join
-/// re-interns only each shard's distinct identifiers, in shard order.
-fn group_compact_sharded(
-    rows: usize,
-    threads: usize,
-    interner: &AddrInterner,
-    scan: impl Fn((usize, usize), &mut dyn FnMut(ProtocolIdentifier, AddrId)) + Sync,
 ) -> CompactGrouping {
     // Extraction + hashing is CPU-bound with no per-item pacing overhead
     // to amortise, so workers beyond the machine's parallelism only add
@@ -362,22 +155,22 @@ fn group_compact_sharded(
     } else {
         alias_exec::shards_for(threads)
     };
-    let shard_ranges = alias_exec::split_even(rows as u64, shard_count);
+    let shard_ranges = alias_exec::split_even(view.len() as u64, shard_count);
     let shards: Vec<(IdentInterner, Vec<Vec<AddrId>>)> =
         alias_exec::shard_map(shard_ranges.len(), threads, |shard| {
             let range = &shard_ranges[shard];
             let mut idents = IdentInterner::new();
             let mut groups: Vec<Vec<AddrId>> = Vec::new();
-            scan(
-                (range.start as usize, range.end as usize),
-                &mut |identifier, addr| {
-                    let ident = idents.intern(identifier);
-                    if ident.index() == groups.len() {
-                        groups.push(Vec::new());
-                    }
-                    groups[ident.index()].push(addr);
-                },
-            );
+            for i in range.start as usize..range.end as usize {
+                let Some(identifier) = extractor.extract_payload(view.payload_at(i)) else {
+                    continue;
+                };
+                let ident = idents.intern(identifier);
+                if ident.index() == groups.len() {
+                    groups.push(Vec::new());
+                }
+                groups[ident.index()].push(view.addr_id_at(i));
+            }
             (idents, groups)
         });
 
@@ -413,7 +206,6 @@ fn group_compact_sharded(
     }
     testable.sort_unstable();
     testable.dedup();
-    sort_canonical_compact(&mut sets, interner);
     CompactGrouping { sets, testable }
 }
 
@@ -421,10 +213,10 @@ fn group_compact_sharded(
 mod tests {
     use super::*;
     use crate::extract::ExtractionConfig;
+    use crate::intern::sort_canonical_compact;
     use alias_netsim::SimTime;
-    use alias_scan::{DataSource, ServicePayload};
+    use alias_scan::{DataSource, ObservationStore, ServiceObservation, ServicePayload, SourceTag};
     use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, SshObservation};
-    use std::net::Ipv4Addr;
 
     /// An SSH observation for `addr` from a device identified by `key_byte`.
     fn ssh_obs(addr: &str, key_byte: u8, source: DataSource) -> ServiceObservation {
@@ -442,194 +234,151 @@ mod tests {
         }
     }
 
-    fn collection(observations: &[ServiceObservation]) -> AliasSetCollection {
-        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-        AliasSetCollection::from_observations(observations.iter(), &extractor)
+    fn extractor() -> IdentifierExtractor {
+        IdentifierExtractor::new(ExtractionConfig::paper())
+    }
+
+    /// Interleaved duplicates, several devices and both families, so
+    /// dedup, non-singleton filtering and set order all engage.
+    fn mixed_rows() -> Vec<ServiceObservation> {
+        vec![
+            ssh_obs("10.0.0.3", 1, DataSource::Active),
+            ssh_obs("10.0.0.1", 1, DataSource::Active),
+            ssh_obs("10.0.0.1", 1, DataSource::Censys),
+            ssh_obs("10.2.0.1", 3, DataSource::Active),
+            ssh_obs("10.1.0.9", 2, DataSource::Active),
+            ssh_obs("2001:db8::1", 2, DataSource::Active),
+            ssh_obs("10.2.0.2", 3, DataSource::Active),
+            ssh_obs("10.9.0.1", 4, DataSource::Active),
+        ]
     }
 
     #[test]
     fn grouping_by_identifier() {
-        let obs = vec![
+        let store = ObservationStore::from_observations(vec![
             ssh_obs("10.0.0.1", 1, DataSource::Active),
             ssh_obs("10.0.0.2", 1, DataSource::Active),
             ssh_obs("10.0.0.3", 1, DataSource::Active),
             ssh_obs("10.1.0.1", 2, DataSource::Active),
             ssh_obs("10.2.0.1", 3, DataSource::Active),
             ssh_obs("10.2.0.2", 3, DataSource::Active),
-        ];
-        let collection = collection(&obs);
+        ]);
+        let collection = AliasSetCollection::from_view(&store.view_all(), &extractor());
         assert_eq!(collection.sets().len(), 3);
-        let non_singleton = collection.non_singleton_sets();
-        assert_eq!(non_singleton.len(), 2);
+        assert_eq!(collection.non_singleton_sets().len(), 2);
         // Largest set first.
         assert_eq!(collection.sets()[0].len(), 3);
-        assert_eq!(collection.covered_addresses(false), 5);
-        assert_eq!(collection.set_sizes(false), vec![3, 2]);
-        assert_eq!(collection.asn("10.0.0.1".parse().unwrap()), Some(101));
-    }
+        assert!(!collection.sets()[0].is_empty());
 
-    #[test]
-    fn streamed_and_collected_grouping_are_identical() {
-        let obs = vec![
-            ssh_obs("10.0.0.1", 1, DataSource::Active),
-            ssh_obs("10.0.0.2", 1, DataSource::Censys),
-            ssh_obs("10.1.0.1", 2, DataSource::Active),
-            ssh_obs("2001:db8::1", 2, DataSource::Active),
-        ];
-        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-        let pulled = AliasSetCollection::from_observations(obs.iter(), &extractor);
-        let mut builder = AliasSetBuilder::new(extractor);
-        for o in &obs {
-            builder.push(o);
-        }
-        assert_eq!(builder.finish(), pulled);
+        let grouped = group_view_compact(&store.view_all(), &extractor(), 1);
+        let sizes: Vec<usize> = grouped.sets.iter().map(CompactAliasSet::len).collect();
+        assert_eq!(sizes, vec![3, 2]);
+        assert_eq!(grouped.testable.len(), 6);
     }
 
     #[test]
     fn duplicate_observations_collapse() {
         // The same address observed by the active scan and by Censys (union
         // of data sources) must not inflate the set.
-        let obs = vec![
+        let store = ObservationStore::from_observations(vec![
             ssh_obs("10.0.0.1", 1, DataSource::Active),
             ssh_obs("10.0.0.1", 1, DataSource::Censys),
             ssh_obs("10.0.0.2", 1, DataSource::Censys),
-        ];
-        let collection = collection(&obs);
+        ]);
+        let grouped = group_view_compact(&store.view_all(), &extractor(), 1);
+        assert_eq!(grouped.sets.len(), 1);
+        assert_eq!(grouped.sets[0].len(), 2);
+        let collection = AliasSetCollection::from_view(&store.view_all(), &extractor());
         assert_eq!(collection.sets().len(), 1);
         assert_eq!(collection.sets()[0].len(), 2);
     }
 
     #[test]
-    fn family_projection_drops_degenerate_sets() {
-        let obs = vec![
-            ssh_obs("10.0.0.1", 1, DataSource::Active),
-            ssh_obs("2001:db8::1", 1, DataSource::Active),
-            ssh_obs("10.0.0.9", 2, DataSource::Active),
-            ssh_obs("10.0.0.10", 2, DataSource::Active),
-        ];
-        let collection = collection(&obs);
-        // Device 1 is dual-stack but has only one address per family: it is
-        // not an alias set within either family.
-        assert_eq!(collection.ipv4_sets().len(), 1);
-        assert!(collection.ipv6_sets().is_empty());
-        // It still counts as two addresses overall.
-        assert_eq!(collection.all_addresses().len(), 4);
-    }
-
-    #[test]
     fn singleton_only_input_produces_no_alias_sets() {
-        let obs = vec![
+        let store = ObservationStore::from_observations(vec![
             ssh_obs("10.0.0.1", 1, DataSource::Active),
             ssh_obs("10.0.0.2", 2, DataSource::Active),
-        ];
-        let collection = collection(&obs);
+        ]);
+        let grouped = group_view_compact(&store.view_all(), &extractor(), 1);
+        assert!(grouped.sets.is_empty());
+        // Both addresses were identified, so both are testable.
+        assert_eq!(grouped.testable.len(), 2);
+        let collection = AliasSetCollection::from_view(&store.view_all(), &extractor());
         assert!(collection.non_singleton_sets().is_empty());
         assert_eq!(collection.sets().len(), 2);
-        assert_eq!(collection.covered_addresses(false), 0);
     }
 
     #[test]
-    fn compact_grouping_matches_the_collection_path_for_every_thread_count() {
-        // Interleave duplicates, multiple devices and both families so
-        // dedup, non-singleton filtering and canonical ordering all engage.
-        let obs = [
-            ssh_obs("10.0.0.3", 1, DataSource::Active),
+    fn compact_grouping_keeps_first_seen_identifier_order() {
+        // Identifier 3 is seen before identifier 1 although its smallest
+        // address is larger: the grouping does not sort.
+        let store = ObservationStore::from_observations(vec![
+            ssh_obs("10.9.0.1", 3, DataSource::Active),
             ssh_obs("10.0.0.1", 1, DataSource::Active),
-            ssh_obs("10.0.0.1", 1, DataSource::Censys),
-            ssh_obs("10.2.0.1", 3, DataSource::Active),
-            ssh_obs("10.1.0.9", 2, DataSource::Active),
-            ssh_obs("2001:db8::1", 2, DataSource::Active),
-            ssh_obs("10.2.0.2", 3, DataSource::Active),
-            ssh_obs("10.9.0.1", 4, DataSource::Active),
-        ];
-        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-        let refs: Vec<&ServiceObservation> = obs.iter().collect();
-        let interner = AddrInterner::from_addrs(obs.iter().map(|o| o.addr));
-        let legacy = AliasSetCollection::from_observations(obs.iter(), &extractor);
-        let legacy_sets: Vec<_> = {
-            let mut sets: Vec<_> = legacy
-                .non_singleton_sets()
-                .into_iter()
-                .map(|s| s.addrs.clone())
-                .collect();
-            sets.sort_by(|a, b| a.iter().next().cmp(&b.iter().next()));
-            sets
-        };
-        let serial = group_observations_compact(&refs, &extractor, &interner, 1);
-        for threads in [1usize, 2, 7] {
-            let grouped = group_observations_compact(&refs, &extractor, &interner, threads);
-            assert_eq!(grouped, serial, "threads={threads}");
-            let resolved: Vec<_> = grouped
-                .sets
-                .iter()
-                .map(|s| s.to_addr_set(&interner))
-                .collect();
-            assert_eq!(resolved, legacy_sets, "threads={threads}");
-            assert_eq!(grouped.testable_addrs(&interner), legacy.all_addresses());
-        }
-    }
-
-    #[test]
-    fn view_grouping_matches_the_slice_path_for_every_thread_count() {
-        // The columnar entry points (store view in, ids straight from the
-        // AddrId column) must agree with the row-slice path — sets,
-        // testable ids and the memoisable collection alike.
-        let obs = [
-            ssh_obs("10.0.0.3", 1, DataSource::Active),
-            ssh_obs("10.0.0.1", 1, DataSource::Active),
-            ssh_obs("10.0.0.1", 1, DataSource::Censys),
-            ssh_obs("10.2.0.1", 3, DataSource::Active),
-            ssh_obs("10.1.0.9", 2, DataSource::Active),
-            ssh_obs("2001:db8::1", 2, DataSource::Active),
-            ssh_obs("10.2.0.2", 3, DataSource::Active),
-            ssh_obs("10.9.0.1", 4, DataSource::Active),
-        ];
-        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-        let store = alias_scan::ObservationStore::from_observations(obs.to_vec());
-        let view = store.select(None, None);
-        let refs: Vec<&ServiceObservation> = obs.iter().collect();
-        let from_slices = group_observations_compact(&refs, &extractor, store.interner(), 1);
-        for threads in [1usize, 2, 7] {
-            let from_view = group_view_compact(&view, &extractor, threads);
-            assert_eq!(from_view, from_slices, "threads={threads}");
-        }
+            ssh_obs("10.9.0.2", 3, DataSource::Active),
+            ssh_obs("10.0.0.2", 1, DataSource::Active),
+        ]);
+        let grouped = group_view_compact(&store.view_all(), &extractor(), 1);
+        let interner = store.interner();
+        let first_members: Vec<IpAddr> = grouped
+            .sets
+            .iter()
+            .map(|s| s.min_addr(interner).unwrap())
+            .collect();
         assert_eq!(
-            AliasSetCollection::from_view(&view, &extractor),
-            AliasSetCollection::from_observations(obs.iter(), &extractor)
+            first_members,
+            vec![
+                "10.9.0.1".parse::<IpAddr>().unwrap(),
+                "10.0.0.1".parse().unwrap()
+            ]
         );
+    }
+
+    #[test]
+    fn view_grouping_matches_the_collection_oracle_for_every_thread_count() {
+        let rows = mixed_rows();
+        let store = ObservationStore::from_observations(rows);
+        let interner = store.interner();
+        let view = store.select(None, None);
+        let oracle = AliasSetCollection::from_view(&view, &extractor());
+        let mut oracle_sets: Vec<_> = oracle
+            .non_singleton_sets()
+            .into_iter()
+            .map(|s| s.addrs.clone())
+            .collect();
+        oracle_sets.sort_by(|a, b| a.iter().next().cmp(&b.iter().next()));
+
+        let serial = group_view_compact(&view, &extractor(), 1);
+        for threads in [1usize, 2, 7] {
+            let grouped = group_view_compact(&view, &extractor(), threads);
+            assert_eq!(grouped, serial, "threads={threads}");
+            let mut canonical = grouped.sets.clone();
+            sort_canonical_compact(&mut canonical, interner);
+            let resolved: Vec<_> = canonical.iter().map(|s| s.to_addr_set(interner)).collect();
+            assert_eq!(resolved, oracle_sets, "threads={threads}");
+            assert_eq!(grouped.testable_addrs(interner), oracle.all_addresses());
+        }
+
         // A filtered view groups exactly the filtered rows.
-        let active = store.select(None, Some(alias_scan::SourceTag::Active));
+        let active_rows: Vec<ServiceObservation> = mixed_rows()
+            .into_iter()
+            .filter(|o| o.source == DataSource::Active)
+            .collect();
+        let active_only = ObservationStore::from_observations(active_rows);
         assert_eq!(
-            AliasSetCollection::from_view(&active, &extractor),
-            AliasSetCollection::from_observations(
-                obs.iter().filter(|o| o.source == DataSource::Active),
-                &extractor
-            )
+            AliasSetCollection::from_view(
+                &store.select(None, Some(SourceTag::Active)),
+                &extractor()
+            ),
+            AliasSetCollection::from_view(&active_only.view_all(), &extractor())
         );
     }
 
     #[test]
     fn compact_grouping_of_nothing_is_empty() {
-        let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-        let grouped = group_observations_compact(&[], &extractor, &AddrInterner::new(), 4);
+        let store = ObservationStore::new();
+        let grouped = group_view_compact(&store.view_all(), &extractor(), 4);
         assert!(grouped.sets.is_empty());
         assert!(grouped.testable.is_empty());
-    }
-
-    #[test]
-    fn alias_set_family_accessors() {
-        let obs = vec![
-            ssh_obs("10.0.0.1", 1, DataSource::Active),
-            ssh_obs("2001:db8::5", 1, DataSource::Active),
-        ];
-        let collection = collection(&obs);
-        let set = &collection.sets()[0];
-        assert_eq!(set.len(), 2);
-        assert!(!set.is_empty());
-        assert_eq!(set.ipv4_addrs().len(), 1);
-        assert_eq!(set.ipv6_addrs().len(), 1);
-        assert!(set
-            .ipv4_addrs()
-            .contains(&IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1))));
     }
 }

@@ -6,23 +6,18 @@
 //! IPv6 address (by far the most common case, 88% in the paper) already
 //! counts.
 
-use crate::alias_set::AliasSetCollection;
-use crate::identifier::ProtocolIdentifier;
+use crate::intern::{AddrId, AddrInterner, CompactAliasSet};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
-use std::net::IpAddr;
 
-/// One dual-stack set.  Members are sorted, distinct vectors rather than
-/// address sets — dual-stack sets are derived once and then only read, so
-/// they need ordered iteration, not membership tests.
+/// One dual-stack set, in id space.  Members are sorted, distinct id
+/// vectors rather than sets — dual-stack sets are derived once and then
+/// only read, so they need ordered iteration, not membership tests.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DualStackSet {
-    /// The shared identifier.
-    pub identifier: ProtocolIdentifier,
-    /// IPv4 members, sorted and distinct.
-    pub ipv4: Vec<IpAddr>,
-    /// IPv6 members, sorted and distinct.
-    pub ipv6: Vec<IpAddr>,
+    /// IPv4 member ids, sorted and distinct.
+    pub ipv4: Vec<AddrId>,
+    /// IPv6 member ids, sorted and distinct.
+    pub ipv6: Vec<AddrId>,
 }
 
 impl DualStackSet {
@@ -40,36 +35,33 @@ impl DualStackSet {
     pub fn is_simple_pair(&self) -> bool {
         self.ipv4.len() == 1 && self.ipv6.len() == 1
     }
+
+    /// Every member of both families, as one alias set (the input the
+    /// union merge of dual-stack sets takes).
+    pub fn members(&self) -> CompactAliasSet {
+        CompactAliasSet::from_ids(self.ipv4.iter().chain(&self.ipv6).copied().collect())
+    }
 }
 
-/// All dual-stack sets of a collection, plus the counters the paper reports
+/// All dual-stack sets of a grouping, plus the counters the paper reports
 /// in Table 4.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DualStackReport {
-    /// The dual-stack sets.
+    /// The dual-stack sets, larger sets first.
     pub sets: Vec<DualStackSet>,
 }
 
 impl DualStackReport {
-    /// Derive dual-stack sets from an alias-set collection.
-    pub fn from_collection(collection: &AliasSetCollection) -> Self {
-        let mut sets: Vec<DualStackSet> = collection
-            .sets()
+    /// Derive dual-stack sets from id-space alias sets over `interner`:
+    /// every set with at least one member in each family.
+    pub fn from_sets(sets: &[CompactAliasSet], interner: &AddrInterner) -> Self {
+        let mut sets: Vec<DualStackSet> = sets
             .iter()
             .filter_map(|set| {
-                let ipv4 = set.ipv4_addrs();
-                let ipv6 = set.ipv6_addrs();
-                if ipv4.is_empty() || ipv6.is_empty() {
-                    None
-                } else {
-                    // BTreeSet iteration is ordered, so the vectors come
-                    // out sorted and distinct.
-                    Some(DualStackSet {
-                        identifier: set.identifier.clone(),
-                        ipv4: ipv4.into_iter().collect(),
-                        ipv6: ipv6.into_iter().collect(),
-                    })
-                }
+                // Members are sorted ids, so both halves stay sorted.
+                let (ipv6, ipv4): (Vec<AddrId>, Vec<AddrId>) =
+                    set.iter().partition(|&id| interner.addr(id).is_ipv6());
+                (!ipv4.is_empty() && !ipv6.is_empty()).then_some(DualStackSet { ipv4, ipv6 })
             })
             .collect();
         sets.sort_by_key(|set| std::cmp::Reverse(set.len()));
@@ -83,20 +75,12 @@ impl DualStackReport {
 
     /// Distinct IPv4 addresses covered.
     pub fn ipv4_addresses(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.ipv4.iter())
-            .collect::<BTreeSet<_>>()
-            .len()
+        distinct(self.sets.iter().flat_map(|s| s.ipv4.iter().copied()))
     }
 
     /// Distinct IPv6 addresses covered.
     pub fn ipv6_addresses(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.ipv6.iter())
-            .collect::<BTreeSet<_>>()
-            .len()
+        distinct(self.sets.iter().flat_map(|s| s.ipv6.iter().copied()))
     }
 
     /// Fraction of sets that are a single IPv4 + single IPv6 pair.
@@ -126,12 +110,22 @@ impl DualStackReport {
     }
 }
 
+/// Number of distinct ids (an address can sit in two sets when its host
+/// was re-keyed between data sources).
+fn distinct(ids: impl Iterator<Item = AddrId>) -> usize {
+    let mut ids: Vec<AddrId> = ids.collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alias_set::group_view_compact;
     use crate::extract::{ExtractionConfig, IdentifierExtractor};
     use alias_netsim::SimTime;
-    use alias_scan::{DataSource, ServiceObservation, ServicePayload};
+    use alias_scan::{DataSource, ObservationStore, ServiceObservation, ServicePayload};
     use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, SshObservation};
 
     fn ssh_obs(addr: &str, key_byte: u8) -> ServiceObservation {
@@ -151,8 +145,9 @@ mod tests {
 
     fn report(observations: &[ServiceObservation]) -> DualStackReport {
         let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-        let collection = AliasSetCollection::from_observations(observations.iter(), &extractor);
-        DualStackReport::from_collection(&collection)
+        let store = ObservationStore::from_observations(observations.to_vec());
+        let grouped = group_view_compact(&store.view_all(), &extractor, 1);
+        DualStackReport::from_sets(&grouped.sets, store.interner())
     }
 
     #[test]
@@ -164,6 +159,7 @@ mod tests {
         assert!(report.sets[0].is_simple_pair());
         assert_eq!(report.simple_pair_fraction(), 1.0);
         assert_eq!(report.sets[0].len(), 2);
+        assert_eq!(report.sets[0].members().len(), 2);
         assert!(!report.sets[0].is_empty());
     }
 

@@ -85,27 +85,38 @@ impl MergedSet {
     }
 }
 
-/// Merge labelled collections of [`CompactAliasSet`]s sharing one id space:
-/// sets sharing at least one address end up in the same merged set.
+/// The id-space result of a labelled merge: the merged groups as compact
+/// sets, each with the labels of the input lists that contributed to it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MergedGroups {
+    /// Merged groups, ordered by smallest member id.
+    pub sets: Vec<CompactAliasSet>,
+    /// `labels[i]` holds the labels that contributed to `sets[i]`.
+    pub labels: Vec<BTreeSet<String>>,
+}
+
+/// Merge labelled collections of [`CompactAliasSet`]s sharing one id space
+/// of `universe` ids: sets sharing at least one address end up in the same
+/// merged group.
 ///
 /// Member ids index straight into the union–find forest, so there is no
 /// per-merge re-keying and no input cloning.  With `threads > 1` the union
 /// pass shards over the input sets (private forests reporting spanning
-/// edges to a boundary pass) and materialisation shards over the merged
-/// groups.  The output is in canonical order — merged sets sorted by their
-/// smallest address — and identical for every thread count, because the
-/// merged partition of a set family is independent of union order.
-pub fn merge_labeled_compact(
+/// edges to a boundary pass).  The groups are numbered by smallest member
+/// id and identical for every thread count, because the merged partition
+/// of a set family is independent of union order.  Callers that only count
+/// or attribute merged sets stay here; [`merge_labeled_compact`] resolves
+/// the groups to addresses for reports.
+pub fn merge_labeled_ids(
     inputs: &[(&str, &[CompactAliasSet])],
-    interner: &AddrInterner,
+    universe: usize,
     threads: usize,
-) -> Vec<MergedSet> {
+) -> MergedGroups {
     // CPU-bound with no per-item pacing to amortise: workers beyond the
     // machine's parallelism only add scheduling overhead, and the clamp
     // never changes the output (the merged partition is thread-count
     // independent).
     let threads = threads.min(alias_exec::available_parallelism());
-    let universe = interner.len();
     // Mark the addresses that actually occur in an input set: the interner
     // may cover a whole campaign while the sets span only part of it.
     let mut present = vec![false; universe];
@@ -195,13 +206,39 @@ pub fn merge_labeled_compact(
         }
     }
 
-    // Materialise the merged sets at the address boundary, sharded over the
-    // groups (the ordered-set building is the expensive part).  Both tables
-    // are frozen first: the shards below share them read-only.
-    let groups = &groups;
+    // Flush the forest tallies — raw op counts as timing metrics, the
+    // partition-derived ones as deterministic.
+    let stats = uf.stats();
+    UF_FINDS.add(stats.finds);
+    UF_UNIONS.add(stats.unions);
+    UF_PATH_COMPRESSIONS.add(stats.path_compressions);
+    EFFECTIVE_UNIONS.add(stats.effective_unions);
+    MERGED_SETS.add(groups.len() as u64);
+    MERGED_ADDRS.add(groups.iter().map(|g| g.len() as u64).sum());
+
+    MergedGroups {
+        sets: groups.into_iter().map(CompactAliasSet::from_ids).collect(),
+        labels,
+    }
+}
+
+/// [`merge_labeled_ids`] resolved to addresses: the merged sets over
+/// `interner`, in canonical order — sorted by their smallest address —
+/// and identical for every thread count.  Materialisation shards over the
+/// merged groups when `threads > 1`.
+pub fn merge_labeled_compact(
+    inputs: &[(&str, &[CompactAliasSet])],
+    interner: &AddrInterner,
+    threads: usize,
+) -> Vec<MergedSet> {
+    let threads = threads.min(alias_exec::available_parallelism());
+    let MergedGroups { sets, labels } = merge_labeled_ids(inputs, interner.len(), threads);
+    // The ordered-set building is the expensive part; the shards below
+    // share the groups read-only.
+    let sets = &sets;
     let labels = &labels;
     let group_ranges = alias_exec::split_even(
-        groups.len() as u64,
+        sets.len() as u64,
         if threads <= 1 {
             1
         } else {
@@ -215,29 +252,18 @@ pub fn merge_labeled_compact(
             let range = &group_ranges[shard];
             (range.start as usize..range.end as usize)
                 .map(|slot| MergedSet {
-                    addrs: groups[slot].iter().map(|&id| interner.addr(id)).collect(),
+                    addrs: sets[slot].iter().map(|id| interner.addr(id)).collect(),
                     labels: labels[slot].clone(),
                 })
                 .collect::<Vec<_>>()
         },
-        Vec::with_capacity(groups.len()),
+        Vec::with_capacity(sets.len()),
         |mut acc, part| {
             acc.extend(part);
             acc
         },
     );
     sort_canonical(&mut merged);
-
-    // Flush the forest tallies from this serial tail — raw op counts as
-    // timing metrics, the partition-derived ones as deterministic.
-    let stats = uf.stats();
-    UF_FINDS.add(stats.finds);
-    UF_UNIONS.add(stats.unions);
-    UF_PATH_COMPRESSIONS.add(stats.path_compressions);
-    EFFECTIVE_UNIONS.add(stats.effective_unions);
-    MERGED_SETS.add(merged.len() as u64);
-    MERGED_ADDRS.add(merged.iter().map(|m| m.addrs.len() as u64).sum());
-
     merged
 }
 
@@ -444,6 +470,34 @@ mod tests {
         assert_eq!(stats.single_fraction(), 0.0);
         let attribution = ProtocolAttribution::compute(&[]);
         assert_eq!(attribution.snmpv3_only_fraction(), 0.0);
+    }
+
+    #[test]
+    fn id_groups_resolve_to_the_merged_sets() {
+        let mut interner = AddrInterner::new();
+        let ssh = family(
+            &[&["10.0.0.9", "10.0.0.2"], &["10.5.0.1", "10.5.0.2"]],
+            &mut interner,
+        );
+        let bgp = family(&[&["10.0.0.2", "10.0.0.3"]], &mut interner);
+        let inputs = [("ssh", ssh.as_slice()), ("bgp", bgp.as_slice())];
+        let groups = merge_labeled_ids(&inputs, interner.len(), 1);
+        assert_eq!(groups.sets.len(), 2);
+        assert_eq!(groups.labels.len(), 2);
+        for threads in [2usize, 7] {
+            assert_eq!(merge_labeled_ids(&inputs, interner.len(), threads), groups);
+        }
+        let mut resolved: Vec<MergedSet> = groups
+            .sets
+            .iter()
+            .zip(&groups.labels)
+            .map(|(set, labels)| MergedSet {
+                addrs: set.to_addr_set(&interner),
+                labels: labels.clone(),
+            })
+            .collect();
+        sort_canonical(&mut resolved);
+        assert_eq!(resolved, merge_labeled_compact(&inputs, &interner, 1));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::hitlist::Ipv6Hitlist;
 use crate::rate_probe::{RateProbeConfig, RateProber};
-use crate::records::{DataSource, ObservationSink, ServiceObservation};
+use crate::records::{DataSource, ServiceObservation};
 use crate::snmp::{SnmpScanConfig, SnmpScanner};
 use crate::zgrab::{ZgrabConfig, ZgrabScanner};
 use crate::zmap::{ZmapConfig, ZmapScanner};
@@ -173,15 +173,6 @@ impl CampaignData {
     ) -> impl Iterator<Item = ObservationRef<'_>> {
         let view = self.store.select(Some(protocol.into()), None);
         (0..view.len()).map(move |i| view.get(i))
-    }
-
-    /// Stream every observation into a sink, in campaign order (rows are
-    /// materialised one at a time — the compatibility boundary for
-    /// row-based consumers).
-    pub fn stream_into(&self, sink: &mut dyn ObservationSink) {
-        for row in 0..self.store.len() {
-            sink.accept(&self.store.get(row).to_observation());
-        }
     }
 
     /// Materialise every observation as rows, in campaign order (the
@@ -536,20 +527,6 @@ mod tests {
                 .collect();
             assert_eq!(streamed, filtered);
         }
-    }
-
-    #[test]
-    fn stream_into_visits_every_observation_in_order() {
-        struct Collector(Vec<ServiceObservation>);
-        impl ObservationSink for Collector {
-            fn accept(&mut self, observation: &ServiceObservation) {
-                self.0.push(observation.clone());
-            }
-        }
-        let (_, data) = campaign_data();
-        let mut sink = Collector(Vec::new());
-        data.stream_into(&mut sink);
-        assert_eq!(sink.0, data.to_observations());
     }
 
     #[test]

@@ -35,12 +35,11 @@ pub mod zmap;
 
 pub use alias_netsim::ServiceProtocol;
 pub use alias_store::{
-    ColumnarSink, ObservationRef, ObservationStore, ObservationView, ProtocolTag, ShardColumns,
-    SourceTag,
+    ObservationRef, ObservationStore, ObservationView, ProtocolTag, ShardColumns, SourceTag,
 };
 pub use campaign::{ActiveCampaign, CampaignConfig, CampaignData};
 pub use hitlist::Ipv6Hitlist;
 pub use rate_probe::{RateProbeConfig, RateProber};
-pub use records::{DataSource, ObservationSink, ServiceObservation, ServicePayload};
+pub use records::{DataSource, ServiceObservation, ServicePayload};
 pub use zgrab::ZgrabScanner;
 pub use zmap::{ZmapResults, ZmapScanner};

@@ -18,33 +18,24 @@
 //! * [`ShardColumns`] — per-shard append builders, so parallel scan loops
 //!   emit ids straight into shard-local columns (intern **at scan**, no
 //!   post-hoc interning pass over the finished campaign);
-//! * [`ColumnarSink`] — an [`ObservationSink`] building a store from any
-//!   streaming row producer;
 //! * [`ObservationView`] / [`ObservationRef`] — zero-copy selections
 //!   ([`ObservationStore::select`] reads two tag bytes per row) and
-//!   borrowed row accessors;
-//! * [`PayloadArena`] + [`EncodedObservations`] — the cold, arena-backed
-//!   layout: each payload wire-encoded once into one shared `Vec<u8>` and
-//!   addressed by `(offset, len)` [`Span`]s.
+//!   borrowed row accessors.
 //!
 //! The crate sits between `alias-intern` and `alias-scan`; the observation
 //! record types ([`ServiceObservation`], [`ServicePayload`],
-//! [`DataSource`], [`ObservationSink`]) live here and are re-exported by
-//! `alias-scan` for compatibility.
+//! [`DataSource`]) live here and are re-exported by `alias-scan` for
+//! compatibility.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
-pub mod encoded;
 pub mod records;
 pub mod store;
 pub mod tags;
 
-pub use arena::{PayloadArena, Span};
-pub use encoded::EncodedObservations;
-pub use records::{parse_payload, DataSource, ObservationSink, ServiceObservation, ServicePayload};
-pub use store::{ColumnarSink, ObservationRef, ObservationStore, ObservationView, ShardColumns};
+pub use records::{parse_payload, DataSource, ServiceObservation, ServicePayload};
+pub use store::{ObservationRef, ObservationStore, ObservationView, ShardColumns};
 pub use tags::{ProtocolTag, SourceTag};
 
 #[cfg(test)]
@@ -58,8 +49,8 @@ mod proptests {
     use std::net::{IpAddr, Ipv4Addr};
 
     /// Deterministically expand a compact `(addr, kind, source)` triple
-    /// into a full observation — enough variety to exercise interning,
-    /// selection and the wire codec without generating wire types directly.
+    /// into a full observation — enough variety to exercise interning and
+    /// selection without generating wire types directly.
     fn expand(row: (u16, u8, bool)) -> ServiceObservation {
         let (addr_raw, kind, censys) = row;
         let addr = IpAddr::V4(Ipv4Addr::new(10, 0, (addr_raw >> 8) as u8, addr_raw as u8));
@@ -110,8 +101,7 @@ mod proptests {
     // The parity oracle of the columnar store: for random observation
     // batches, a store built shard-by-shard (at several shard widths,
     // mirroring 1/2/7-thread scan splits) matches the row `Vec` on every
-    // axis — materialisation, selection, id assignment and the arena
-    // round trip.
+    // axis — materialisation, selection and id assignment.
     proptest! {
         #[test]
         fn columnar_store_matches_the_row_vec_oracle(
@@ -171,9 +161,6 @@ mod proptests {
                     prop_assert_eq!(view.to_observations(), expected);
                 }
             }
-
-            // The arena-backed encoded layout round-trips exactly.
-            prop_assert_eq!(serial.encode().decode(), serial);
         }
 
         // The fixed-width RateLimit wire codec round-trips every

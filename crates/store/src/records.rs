@@ -96,10 +96,7 @@ impl ServicePayload {
 
     /// Encode the payload to the wire bytes a scanner would have captured,
     /// appended to `out`.  [`Self::from_wire_bytes`] parses them back with
-    /// the same parsers the scanners use, so the round trip is exact; this
-    /// is the byte form the
-    /// [`EncodedObservations`](crate::EncodedObservations) payload arena
-    /// stores.
+    /// the same parsers the scanners use, so the round trip is exact.
     pub fn to_wire_bytes(&self, out: &mut Vec<u8>) {
         match self {
             ServicePayload::Ssh(ssh) => {
@@ -303,31 +300,6 @@ impl ServiceObservation {
     /// Whether the observed address is IPv6.
     pub fn is_ipv6(&self) -> bool {
         self.addr.is_ipv6()
-    }
-}
-
-/// A push-based consumer of observations.
-///
-/// The streaming counterpart to collecting observations into a `Vec` first:
-/// producers (`CampaignData::stream_into`, custom replayers) feed records
-/// one at a time, so a consumer that only needs a single pass — an
-/// identifier grouper, a counter, a filter, a
-/// [`ColumnarSink`](crate::ColumnarSink) — never forces the producer to
-/// materialise intermediate `Vec<&ServiceObservation>` slices on the hot
-/// path.
-pub trait ObservationSink {
-    /// Consume one observation.
-    fn accept(&mut self, observation: &ServiceObservation);
-
-    /// Consume every observation of an iterator, in order.
-    fn accept_all<'a, I>(&mut self, observations: I)
-    where
-        I: IntoIterator<Item = &'a ServiceObservation>,
-        Self: Sized,
-    {
-        for observation in observations {
-            self.accept(observation);
-        }
     }
 }
 

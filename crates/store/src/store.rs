@@ -21,7 +21,7 @@
 //! [`ObservationRef`] materialises a full [`ServiceObservation`] only at
 //! compatibility boundaries.
 
-use crate::records::{DataSource, ObservationSink, ServiceObservation, ServicePayload};
+use crate::records::{DataSource, ServiceObservation, ServicePayload};
 use crate::tags::{ProtocolTag, SourceTag};
 use alias_intern::{AddrId, AddrInterner};
 use alias_netsim::{ServiceProtocol, SimTime};
@@ -67,20 +67,6 @@ impl ObservationStore {
     /// An empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty store with room for `rows` observations.
-    pub fn with_capacity(rows: usize) -> Self {
-        ObservationStore {
-            addrs: Vec::with_capacity(rows),
-            protocols: Vec::with_capacity(rows),
-            sources: Vec::with_capacity(rows),
-            ports: Vec::with_capacity(rows),
-            timestamps: Vec::with_capacity(rows),
-            asns: Vec::with_capacity(rows),
-            payloads: Vec::with_capacity(rows),
-            interner: Arc::new(AddrInterner::new()),
-        }
     }
 
     /// Build a store from row observations, in order (the compatibility
@@ -270,9 +256,8 @@ impl ObservationStore {
         }
     }
 
-    /// The row count as the `u32` views index with; loud (like
-    /// [`crate::PayloadArena::push`] on its offsets) rather than silently
-    /// truncating should a store ever exceed `u32::MAX` rows.
+    /// The row count as the `u32` views index with; loud rather than
+    /// silently truncating should a store ever exceed `u32::MAX` rows.
     fn row_range(&self) -> std::ops::Range<u32> {
         let len = u32::try_from(self.len()).expect("observation store exceeds u32 rows");
         0..len
@@ -484,39 +469,6 @@ impl ShardColumns {
                 },
             )
             .collect()
-    }
-}
-
-/// An [`ObservationSink`] that builds an [`ObservationStore`]: the
-/// streaming bridge between row producers (campaign replays, Censys
-/// snapshots) and columnar storage.
-#[derive(Debug, Clone, Default)]
-pub struct ColumnarSink {
-    store: ObservationStore,
-}
-
-impl ColumnarSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty sink with room for `rows` observations.
-    pub fn with_capacity(rows: usize) -> Self {
-        ColumnarSink {
-            store: ObservationStore::with_capacity(rows),
-        }
-    }
-
-    /// Finish and return the store.
-    pub fn finish(self) -> ObservationStore {
-        self.store
-    }
-}
-
-impl ObservationSink for ColumnarSink {
-    fn accept(&mut self, observation: &ServiceObservation) {
-        self.store.push_owned(observation.clone());
     }
 }
 
@@ -743,17 +695,6 @@ mod tests {
         assert_eq!(ssh.payload_at(0), &rows[0].payload);
         assert_eq!(ssh.get(1).to_observation(), rows[1]);
         assert_eq!(ssh.store().len(), store.len());
-    }
-
-    #[test]
-    fn columnar_sink_matches_from_observations() {
-        let rows = sample_rows();
-        let mut sink = ColumnarSink::with_capacity(rows.len());
-        sink.accept_all(rows.iter());
-        assert_eq!(
-            sink.finish(),
-            ObservationStore::from_observations(rows.clone())
-        );
     }
 
     #[test]

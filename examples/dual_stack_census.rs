@@ -1,8 +1,8 @@
 //! Dual-stack census: pair IPv4 and IPv6 addresses of the same device via
 //! shared protocol identifiers (the paper's Table 4 / §4.2), using an IPv6
 //! hitlist because the IPv6 space cannot be swept.  The scan runs through
-//! the `Resolver`; the per-protocol dual-stack reports are derived by
-//! pushing column-view rows into `AliasSetBuilder` sinks — no
+//! the `Resolver`; the per-protocol dual-stack reports are derived from
+//! id-space groupings of the campaign store's column views — no
 //! intermediate observation vectors, no materialised rows.
 //!
 //! Run with: `cargo run --release --example dual_stack_census`
@@ -30,14 +30,12 @@ fn main() {
         ServiceProtocol::Bgp,
         ServiceProtocol::Snmpv3,
     ] {
-        // The streaming path: select the protocol's rows off the campaign
-        // store's tag column and push each one (address, ASN, borrowed
-        // payload) into a grouping sink, then derive the dual-stack pairs.
-        let mut builder = AliasSetBuilder::new(extractor);
-        for row in data.store().select_protocol(protocol, None).iter() {
-            builder.push_parts(row.addr, row.asn, row.payload);
-        }
-        let dual = DualStackReport::from_collection(&builder.finish());
+        // Select the protocol's rows off the campaign store's tag column,
+        // group them by identifier in id space, then derive the dual-stack
+        // pairs.
+        let view = data.store().select_protocol(protocol, None);
+        let grouped = group_view_compact(&view, &extractor, 1);
+        let dual = DualStackReport::from_sets(&grouped.sets, data.interner());
         let (simple, medium, large) = dual.size_split();
         println!(
             "{:>7}: {} dual-stack sets ({} IPv4 / {} IPv6 addresses); \

@@ -13,7 +13,7 @@
 //! * [`netsim`] — the synthetic Internet used as the measurement substrate,
 //! * [`exec`] — the deterministic sharded execution engine (worker pool),
 //! * [`store`] — columnar observation storage: interned column vectors,
-//!   payload arena, sharded append builders and zero-copy views,
+//!   sharded append builders and zero-copy views,
 //! * [`scan`] — ZMap/ZGrab2-style scanners, IPv6 hitlists, IPID probing,
 //! * [`censys`] — Censys-like distributed snapshots,
 //! * [`midar`] — Ally / MIDAR / Speedtrap / iffinder baselines,
@@ -67,7 +67,9 @@ pub use alias_wire as wire;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use alias_censys::{CensysConfig, CensysSnapshot};
-    pub use alias_core::alias_set::{AliasSet, AliasSetBuilder, AliasSetCollection};
+    pub use alias_core::alias_set::{
+        group_view_compact, AliasSet, AliasSetCollection, CompactGrouping,
+    };
     pub use alias_core::dual_stack::{DualStackReport, DualStackSet};
     pub use alias_core::ecdf::Ecdf;
     pub use alias_core::extract::{ExtractionConfig, IdentifierExtractor};
@@ -86,11 +88,10 @@ pub mod prelude {
         TechniqueTiming,
     };
     pub use alias_scan::{
-        ActiveCampaign, CampaignConfig, CampaignData, DataSource, Ipv6Hitlist, ObservationSink,
-        RateProbeConfig, ServiceObservation, ServicePayload, ZgrabScanner, ZmapScanner,
+        ActiveCampaign, CampaignConfig, CampaignData, DataSource, Ipv6Hitlist, RateProbeConfig,
+        ServiceObservation, ServicePayload, ZgrabScanner, ZmapScanner,
     };
     pub use alias_store::{
-        ColumnarSink, EncodedObservations, ObservationRef, ObservationStore, ObservationView,
-        PayloadArena, ProtocolTag, ShardColumns, SourceTag,
+        ObservationRef, ObservationStore, ObservationView, ProtocolTag, ShardColumns, SourceTag,
     };
 }

@@ -3,63 +3,72 @@
 //! grouping, validation and baselines — checked against ground truth.
 
 use alias_resolution::core::dual_stack::DualStackReport;
-use alias_resolution::core::intern::{AddrId, AddrInterner, CompactAliasSet};
-use alias_resolution::core::merge::{merge_labeled_compact, MergedSet, ProtocolAttribution};
+use alias_resolution::core::intern::{AddrId, CompactAliasSet};
+use alias_resolution::core::merge::{merge_labeled_compact, ProtocolAttribution};
 use alias_resolution::core::validation::{common_ids, cross_validate};
 use alias_resolution::prelude::*;
 use std::collections::BTreeSet;
 use std::net::IpAddr;
 
-/// Bridge labelled address sets into a fresh id space and run the
-/// id-native merge (the merged partition is independent of intern order).
-fn merge_addr_sets(inputs: &[(&str, &[BTreeSet<IpAddr>])], threads: usize) -> Vec<MergedSet> {
-    let mut interner = AddrInterner::new();
-    let compact: Vec<(&str, Vec<CompactAliasSet>)> = inputs
+const PROTOCOLS: [ServiceProtocol; 3] = [
+    ServiceProtocol::Ssh,
+    ServiceProtocol::Bgp,
+    ServiceProtocol::Snmpv3,
+];
+
+fn build_and_scan(seed: u64) -> (Internet, CampaignData) {
+    let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
+    let data = ActiveCampaign::with_defaults(&internet).run(&internet);
+    (internet, data)
+}
+
+/// One protocol's identifier grouping over the campaign, in its id space.
+fn grouping(data: &CampaignData, protocol: ServiceProtocol) -> CompactGrouping {
+    let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
+    group_view_compact(&data.store().select_protocol(protocol, None), &extractor, 1)
+}
+
+/// One protocol's IPv4 alias sets: grouped sets cut down to their IPv4
+/// members, keeping those that still have two.
+fn ipv4_alias_sets(data: &CampaignData, protocol: ServiceProtocol) -> Vec<CompactAliasSet> {
+    grouping(data, protocol)
+        .sets
         .iter()
-        .map(|&(label, sets)| {
-            (
-                label,
-                sets.iter()
-                    .map(|set| CompactAliasSet::from_addr_set(set, &mut interner))
+        .map(|set| {
+            CompactAliasSet::from_ids(
+                set.iter()
+                    .filter(|&id| data.interner().addr(id).is_ipv4())
                     .collect(),
             )
         })
-        .collect();
-    let borrowed: Vec<(&str, &[CompactAliasSet])> =
-        compact.iter().map(|(l, s)| (*l, s.as_slice())).collect();
-    merge_labeled_compact(&borrowed, &interner, threads)
+        .filter(|set| set.len() >= 2)
+        .collect()
 }
 
-fn build_and_scan(seed: u64) -> (Internet, Vec<ServiceObservation>) {
-    let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
-    let data = ActiveCampaign::with_defaults(&internet).run(&internet);
-    (internet, data.to_observations())
+/// Compact sets resolved to addresses (the ground-truth boundary).
+fn resolved(data: &CampaignData, sets: &[CompactAliasSet]) -> Vec<BTreeSet<IpAddr>> {
+    sets.iter()
+        .map(|s| s.to_addr_set(data.interner()))
+        .collect()
 }
 
-fn collection(
-    observations: &[ServiceObservation],
-    protocol: ServiceProtocol,
-) -> AliasSetCollection {
-    let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
-    AliasSetCollection::from_observations(
-        observations.iter().filter(|o| o.protocol() == protocol),
-        &extractor,
-    )
+/// Each protocol's IPv4 alias sets, labelled by protocol name.
+fn labeled_ipv4(data: &CampaignData) -> Vec<(&'static str, Vec<CompactAliasSet>)> {
+    PROTOCOLS
+        .iter()
+        .map(|&p| (p.name(), ipv4_alias_sets(data, p)))
+        .collect()
 }
 
 #[test]
 fn protocol_identifiers_group_addresses_of_the_same_device() {
-    let (internet, observations) = build_and_scan(101);
+    let (internet, data) = build_and_scan(101);
     let truth = internet.ground_truth();
-    for protocol in [
-        ServiceProtocol::Ssh,
-        ServiceProtocol::Bgp,
-        ServiceProtocol::Snmpv3,
-    ] {
-        let sets = collection(&observations, protocol).ipv4_sets();
+    for protocol in PROTOCOLS {
+        let sets = resolved(&data, &ipv4_alias_sets(&data, protocol));
         // Precision: in the absence of heavy churn and with the full
         // identifiers, nearly every inferred pair is a true alias pair.
-        let score = truth.score_sets(sets.iter().map(|s| s.iter()));
+        let score = truth.score_sets(&sets);
         assert!(
             score.precision() > 0.95,
             "{} precision {:.3} too low",
@@ -71,11 +80,10 @@ fn protocol_identifiers_group_addresses_of_the_same_device() {
 
 #[test]
 fn ssh_recall_covers_most_reachable_alias_pairs() {
-    let (internet, observations) = build_and_scan(102);
+    let (internet, data) = build_and_scan(102);
     let truth = internet.ground_truth();
-    let ssh = collection(&observations, ServiceProtocol::Ssh);
-    let sets = ssh.ipv4_sets();
-    let score = truth.score_sets(sets.iter().map(|s| s.iter()));
+    let sets = resolved(&data, &ipv4_alias_sets(&data, ServiceProtocol::Ssh));
+    let score = truth.score_sets(&sets);
     // Recall over the addresses SSH produced output for: the identifier is
     // device-wide, so recall should be near-perfect.
     assert!(score.recall() > 0.9, "ssh recall {:.3}", score.recall());
@@ -83,18 +91,19 @@ fn ssh_recall_covers_most_reachable_alias_pairs() {
 
 #[test]
 fn dual_stack_sets_pair_true_dual_stack_devices() {
-    let (internet, observations) = build_and_scan(103);
+    let (internet, data) = build_and_scan(103);
     let truth = internet.ground_truth();
-    let ssh = collection(&observations, ServiceProtocol::Ssh);
-    let report = DualStackReport::from_collection(&ssh);
+    let ssh = grouping(&data, ServiceProtocol::Ssh);
+    let report = DualStackReport::from_sets(&ssh.sets, data.interner());
     assert!(
         report.set_count() > 0,
         "tiny preset should contain dual-stack SSH devices"
     );
     for set in &report.sets {
         let mut devices = BTreeSet::new();
-        for addr in set.ipv4.iter().chain(set.ipv6.iter()) {
-            devices.insert(truth.device_of(*addr).expect("observed addresses exist"));
+        for &id in set.ipv4.iter().chain(set.ipv6.iter()) {
+            let addr = data.interner().addr(id);
+            devices.insert(truth.device_of(addr).expect("observed addresses exist"));
         }
         assert_eq!(
             devices.len(),
@@ -106,18 +115,11 @@ fn dual_stack_sets_pair_true_dual_stack_devices() {
 
 #[test]
 fn union_analysis_attributes_sets_to_protocols() {
-    let (_, observations) = build_and_scan(104);
-    let labeled: Vec<(&str, Vec<BTreeSet<IpAddr>>)> = [
-        ServiceProtocol::Ssh,
-        ServiceProtocol::Bgp,
-        ServiceProtocol::Snmpv3,
-    ]
-    .iter()
-    .map(|&p| (p.name(), collection(&observations, p).ipv4_sets()))
-    .collect();
-    let inputs: Vec<(&str, &[BTreeSet<IpAddr>])> =
+    let (_, data) = build_and_scan(104);
+    let labeled = labeled_ipv4(&data);
+    let inputs: Vec<(&str, &[CompactAliasSet])> =
         labeled.iter().map(|(l, s)| (*l, s.as_slice())).collect();
-    let merged = merge_addr_sets(&inputs, 1);
+    let merged = merge_labeled_compact(&inputs, data.interner(), 1);
     assert!(!merged.is_empty());
     let attribution = ProtocolAttribution::compute(&merged);
     assert_eq!(attribution.total, merged.len());
@@ -127,41 +129,28 @@ fn union_analysis_attributes_sets_to_protocols() {
 
 #[test]
 fn cross_protocol_validation_agrees_on_shared_devices() {
-    let (_, observations) = build_and_scan(105);
-    let ssh = collection(&observations, ServiceProtocol::Ssh);
-    let snmp = collection(&observations, ServiceProtocol::Snmpv3);
-    let ssh_addrs: BTreeSet<IpAddr> = observations
-        .iter()
-        .filter(|o| o.protocol() == ServiceProtocol::Ssh && !o.is_ipv6())
-        .map(|o| o.addr)
-        .collect();
-    let snmp_addrs: BTreeSet<IpAddr> = observations
-        .iter()
-        .filter(|o| o.protocol() == ServiceProtocol::Snmpv3 && !o.is_ipv6())
-        .map(|o| o.addr)
-        .collect();
-    // One shared id space for both sides: the validator is id-native, and
-    // its counts are invariant under the addr↔id relabeling.
-    let mut space = AddrInterner::new();
-    let ssh_compact: Vec<CompactAliasSet> = ssh
-        .ipv4_sets()
-        .iter()
-        .map(|set| CompactAliasSet::from_addr_set(set, &mut space))
-        .collect();
-    let snmp_compact: Vec<CompactAliasSet> = snmp
-        .ipv4_sets()
-        .iter()
-        .map(|set| CompactAliasSet::from_addr_set(set, &mut space))
-        .collect();
-    let intern_sorted = |addrs: &BTreeSet<IpAddr>, space: &mut AddrInterner| -> Vec<AddrId> {
-        let mut ids: Vec<AddrId> = addrs.iter().map(|&a| space.intern(a)).collect();
+    let (_, data) = build_and_scan(105);
+    // Both sides live in the campaign's id space: the validator is
+    // id-native.
+    let responsive_ipv4 = |protocol: ServiceProtocol| -> Vec<AddrId> {
+        let mut ids: Vec<AddrId> = data
+            .observations_for(protocol)
+            .filter(|row| !row.is_ipv6())
+            .map(|row| row.addr_id)
+            .collect();
         ids.sort_unstable();
+        ids.dedup();
         ids
     };
-    let ssh_ids = intern_sorted(&ssh_addrs, &mut space);
-    let snmp_ids = intern_sorted(&snmp_addrs, &mut space);
-    let common = common_ids(&ssh_ids, &snmp_ids);
-    let result = cross_validate(&ssh_compact, &snmp_compact, &common);
+    let common = common_ids(
+        &responsive_ipv4(ServiceProtocol::Ssh),
+        &responsive_ipv4(ServiceProtocol::Snmpv3),
+    );
+    let result = cross_validate(
+        &ipv4_alias_sets(&data, ServiceProtocol::Ssh),
+        &ipv4_alias_sets(&data, ServiceProtocol::Snmpv3),
+        &common,
+    );
     // With a single-snapshot scan (no churn between sources) the two exact
     // techniques must agree on essentially every comparable set.
     assert!(
@@ -174,14 +163,13 @@ fn cross_protocol_validation_agrees_on_shared_devices() {
 
 #[test]
 fn midar_baseline_confirms_a_subset_of_ssh_sets_without_false_merges() {
-    let (internet, observations) = build_and_scan(106);
+    let (internet, data) = build_and_scan(106);
     let truth = internet.ground_truth();
-    let ssh = collection(&observations, ServiceProtocol::Ssh);
-    let sample: Vec<BTreeSet<IpAddr>> = ssh
-        .ipv4_sets()
-        .into_iter()
-        .filter(|s| s.len() <= 10)
-        .collect();
+    let sample: Vec<BTreeSet<IpAddr>> =
+        resolved(&data, &ipv4_alias_sets(&data, ServiceProtocol::Ssh))
+            .into_iter()
+            .filter(|s| s.len() <= 10)
+            .collect();
     let targets: Vec<IpAddr> = sample.iter().flatten().copied().collect();
     let outcome = Midar::new(MidarConfig::default()).resolve(&internet, &targets, SimTime::ZERO);
     // MIDAR cannot test every address...
@@ -226,29 +214,23 @@ fn censys_snapshot_extends_single_vp_coverage() {
 
 #[test]
 fn identifier_policy_ablation_shows_why_the_full_identifier_is_used() {
-    let (_, observations) = build_and_scan(108);
-    let ssh_observations: Vec<&ServiceObservation> = observations
-        .iter()
-        .filter(|o| o.protocol() == ServiceProtocol::Ssh)
-        .collect();
-    let full = AliasSetCollection::from_observations(
-        ssh_observations.iter().copied(),
-        &IdentifierExtractor::new(ExtractionConfig::paper()),
-    );
-    let key_only = AliasSetCollection::from_observations(
-        ssh_observations.iter().copied(),
+    let (_, data) = build_and_scan(108);
+    let ssh = data.store().select_protocol(ServiceProtocol::Ssh, None);
+    let full = grouping(&data, ServiceProtocol::Ssh);
+    let key_only = group_view_compact(
+        &ssh,
         &IdentifierExtractor::new(ExtractionConfig {
             ssh: SshIdentifierPolicy::KeyOnly,
             ..ExtractionConfig::paper()
         }),
+        1,
     );
     // Key-only grouping can only be coarser (or equal): it merges devices
     // that share factory-default keys.
     assert!(
-        key_only.non_singleton_sets().len() <= full.non_singleton_sets().len()
-            || key_only.all_addresses().len() == full.all_addresses().len()
+        key_only.sets.len() <= full.sets.len() || key_only.testable.len() == full.testable.len()
     );
-    assert_eq!(key_only.all_addresses(), full.all_addresses());
+    assert_eq!(key_only.testable, full.testable);
 }
 
 #[test]
@@ -334,18 +316,10 @@ fn parallel_execution_reproduces_the_serial_pipeline_end_to_end() {
     for seed in [109u64, 110] {
         let internet = InternetBuilder::new(InternetConfig::tiny(seed)).build();
         let serial = ActiveCampaign::with_defaults(&internet).run(&internet);
-        let serial_rows = serial.to_observations();
-        let labeled: Vec<(&str, Vec<BTreeSet<IpAddr>>)> = [
-            ServiceProtocol::Ssh,
-            ServiceProtocol::Bgp,
-            ServiceProtocol::Snmpv3,
-        ]
-        .iter()
-        .map(|&p| (p.name(), collection(&serial_rows, p).ipv4_sets()))
-        .collect();
-        let inputs: Vec<(&str, &[BTreeSet<IpAddr>])> =
+        let labeled = labeled_ipv4(&serial);
+        let inputs: Vec<(&str, &[CompactAliasSet])> =
             labeled.iter().map(|(l, s)| (*l, s.as_slice())).collect();
-        let merged_serial = merge_addr_sets(&inputs, 1);
+        let merged_serial = merge_labeled_compact(&inputs, serial.interner(), 1);
         for threads in [2usize, 7] {
             let sharded = ActiveCampaign::with_defaults(&internet)
                 .with_threads(threads)
@@ -356,7 +330,7 @@ fn parallel_execution_reproduces_the_serial_pipeline_end_to_end() {
                 "seed={seed} threads={threads}"
             );
             assert_eq!(
-                merge_addr_sets(&inputs, threads),
+                merge_labeled_compact(&inputs, serial.interner(), threads),
                 merged_serial,
                 "seed={seed} threads={threads}"
             );
