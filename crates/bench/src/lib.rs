@@ -14,7 +14,7 @@
 #![warn(missing_docs)]
 
 use alias_censys::{CensysConfig, CensysSnapshot};
-use alias_core::alias_set::{group_view_compact, CompactGrouping};
+use alias_core::alias_set::{group_view_compact, restrict_to_family, CompactGrouping};
 use alias_core::analysis;
 use alias_core::analysis::AsnTable;
 use alias_core::dataset::{DatasetFilter, DatasetSummary};
@@ -262,19 +262,11 @@ impl Experiment {
         source: Option<DataSource>,
         ipv6: bool,
     ) -> Vec<CompactAliasSet> {
-        let interner = self.union.interner();
-        self.collection(protocol, source)
-            .sets
-            .iter()
-            .map(|set| {
-                CompactAliasSet::from_ids(
-                    set.iter()
-                        .filter(|&id| interner.addr(id).is_ipv6() == ipv6)
-                        .collect(),
-                )
-            })
-            .filter(|set| set.len() >= 2)
-            .collect()
+        restrict_to_family(
+            &self.collection(protocol, source).sets,
+            self.union.interner(),
+            ipv6,
+        )
     }
 
     /// Every protocol's alias sets of one family and source, labelled by

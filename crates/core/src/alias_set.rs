@@ -209,6 +209,29 @@ pub fn group_view_compact(
     CompactGrouping { sets, testable }
 }
 
+/// Cut alias sets down to the members of one address family (IPv6 when
+/// `ipv6`, IPv4 otherwise), keeping the sets that still have two members,
+/// in input order.
+///
+/// A dual-stack device with one address per family is thus an alias set
+/// in neither family, as in the paper's per-family tables.
+pub fn restrict_to_family(
+    sets: &[CompactAliasSet],
+    interner: &AddrInterner,
+    ipv6: bool,
+) -> Vec<CompactAliasSet> {
+    sets.iter()
+        .map(|set| {
+            CompactAliasSet::from_ids(
+                set.iter()
+                    .filter(|&id| interner.addr(id).is_ipv6() == ipv6)
+                    .collect(),
+            )
+        })
+        .filter(|set| set.len() >= 2)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +329,33 @@ mod tests {
         let collection = AliasSetCollection::from_view(&store.view_all(), &extractor());
         assert!(collection.non_singleton_sets().is_empty());
         assert_eq!(collection.sets().len(), 2);
+    }
+
+    #[test]
+    fn family_restriction_drops_degenerate_sets() {
+        let store = ObservationStore::from_observations(vec![
+            ssh_obs("10.0.0.1", 1, DataSource::Active),
+            ssh_obs("2001:db8::1", 1, DataSource::Active),
+            ssh_obs("10.0.0.9", 2, DataSource::Active),
+            ssh_obs("10.0.0.10", 2, DataSource::Active),
+        ]);
+        let interner = store.interner();
+        let grouped = group_view_compact(&store.view_all(), &extractor(), 1);
+        assert_eq!(grouped.sets.len(), 2);
+        // Device 1 is dual-stack but has only one address per family: it is
+        // not an alias set within either family.
+        let ipv4 = restrict_to_family(&grouped.sets, interner, false);
+        assert_eq!(ipv4.len(), 1);
+        assert_eq!(
+            ipv4[0].to_addr_set(interner),
+            ["10.0.0.9", "10.0.0.10"]
+                .iter()
+                .map(|a| a.parse::<IpAddr>().unwrap())
+                .collect::<BTreeSet<_>>()
+        );
+        assert!(restrict_to_family(&grouped.sets, interner, true).is_empty());
+        // It still counts as two testable addresses overall.
+        assert_eq!(grouped.testable.len(), 4);
     }
 
     #[test]

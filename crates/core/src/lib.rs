@@ -37,7 +37,9 @@ pub mod report;
 pub mod union_find;
 pub mod validation;
 
-pub use alias_set::{group_view_compact, AliasSet, AliasSetCollection, CompactGrouping};
+pub use alias_set::{
+    group_view_compact, restrict_to_family, AliasSet, AliasSetCollection, CompactGrouping,
+};
 pub use alias_wire::hex;
 pub use dual_stack::DualStackSet;
 pub use ecdf::Ecdf;

@@ -162,29 +162,5 @@ mod proptests {
                 }
             }
         }
-
-        // The fixed-width RateLimit wire codec round-trips every
-        // representable (round, rate, sent, lost) combination exactly,
-        // and no other protocol's parser accepts its bytes.
-        #[test]
-        fn rate_limit_payload_wire_round_trip_is_exact(
-            round in any::<u8>(),
-            rate_pps in any::<u32>(),
-            sent in any::<u16>(),
-            lost_raw in any::<u16>(),
-        ) {
-            let lost = (lost_raw as u32 % (sent as u32 + 1)) as u16;
-            let payload = ServicePayload::RateLimit { round, rate_pps, sent, lost };
-            let mut bytes = Vec::new();
-            payload.to_wire_bytes(&mut bytes);
-            prop_assert_eq!(bytes.len(), 11);
-            prop_assert_eq!(
-                ServicePayload::from_wire_bytes(ServiceProtocol::IcmpRateLimit, &bytes),
-                Some(payload)
-            );
-            for other in [ServiceProtocol::Ssh, ServiceProtocol::Bgp, ServiceProtocol::Snmpv3] {
-                prop_assert_eq!(ServicePayload::from_wire_bytes(other, &bytes), None);
-            }
-        }
     }
 }

@@ -68,7 +68,7 @@ pub use alias_wire as wire;
 pub mod prelude {
     pub use alias_censys::{CensysConfig, CensysSnapshot};
     pub use alias_core::alias_set::{
-        group_view_compact, AliasSet, AliasSetCollection, CompactGrouping,
+        group_view_compact, restrict_to_family, AliasSet, AliasSetCollection, CompactGrouping,
     };
     pub use alias_core::dual_stack::{DualStackReport, DualStackSet};
     pub use alias_core::ecdf::Ecdf;

@@ -31,18 +31,7 @@ fn grouping(data: &CampaignData, protocol: ServiceProtocol) -> CompactGrouping {
 /// One protocol's IPv4 alias sets: grouped sets cut down to their IPv4
 /// members, keeping those that still have two.
 fn ipv4_alias_sets(data: &CampaignData, protocol: ServiceProtocol) -> Vec<CompactAliasSet> {
-    grouping(data, protocol)
-        .sets
-        .iter()
-        .map(|set| {
-            CompactAliasSet::from_ids(
-                set.iter()
-                    .filter(|&id| data.interner().addr(id).is_ipv4())
-                    .collect(),
-            )
-        })
-        .filter(|set| set.len() >= 2)
-        .collect()
+    restrict_to_family(&grouping(data, protocol).sets, data.interner(), false)
 }
 
 /// Compact sets resolved to addresses (the ground-truth boundary).
