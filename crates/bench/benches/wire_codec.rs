@@ -1,6 +1,10 @@
 //! Wire codec throughput: parsing and emitting the protocol messages the
 //! scanners handle millions of times per campaign.
 
+use alias_netsim::profiles::ssh_profiles;
+use alias_netsim::services::ssh_session_bytes;
+use alias_netsim::ServiceProtocol;
+use alias_store::parse_payload;
 use alias_wire::bgp::{BgpMessage, Capability, OpenMessage, OptionalParameter};
 use alias_wire::snmp::{EngineId, Snmpv3Message, UsmSecurityParameters};
 use alias_wire::ssh::{Banner, HostKey, HostKeyAlgorithm, KexInit, SshPacket};
@@ -47,6 +51,19 @@ fn bench_ssh(c: &mut Criterion) {
     let key = HostKey::new(HostKeyAlgorithm::Ed25519, vec![7u8; 32]);
     c.bench_function("ssh_hostkey_fingerprint", |b| {
         b.iter(|| black_box(&key).fingerprint())
+    });
+
+    // One scanned row's worth of SSH: the whole server-to-client capture
+    // (banner, KEXINIT, key-exchange reply) into a stored payload, and the
+    // clone + drop every copy of that payload costs downstream.
+    let profile = &ssh_profiles()[0];
+    let capture = ssh_session_bytes(profile, None, &key, 0x5eed);
+    c.bench_function("ssh_capture_parse", |b| {
+        b.iter(|| parse_payload(ServiceProtocol::Ssh, black_box(&capture)).unwrap())
+    });
+    let payload = parse_payload(ServiceProtocol::Ssh, &capture).unwrap();
+    c.bench_function("ssh_payload_clone", |b| {
+        b.iter(|| drop(black_box(&payload).clone()))
     });
 }
 

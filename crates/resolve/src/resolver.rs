@@ -204,13 +204,17 @@ impl Resolver {
     /// Run the full pipeline: active measurement campaign (with the
     /// builder's campaign configuration), per-technique resolution, merge.
     /// The produced campaign data is returned inside the report.
+    ///
+    /// Traced under one `resolve` span: the campaign's own `campaign` span
+    /// and the stages of [`Self::resolve_data`] nest below it.
     pub fn resolve(&self, internet: &Internet) -> ResolutionReport {
+        let _resolve = alias_obs::span("resolve");
         let mut campaign_config = self.campaign.clone();
         campaign_config.threads = self.threads;
-        let stage = alias_obs::span("resolve/campaign");
+        let stage = alias_obs::Stopwatch::start();
         let data = ActiveCampaign::new(campaign_config).run(internet);
-        let campaign_ms = stage.finish().as_millis() as u64;
-        let mut report = self.resolve_data(internet, &data);
+        let campaign_ms = stage.elapsed().as_millis() as u64;
+        let mut report = self.resolve_stages(internet, &data);
         report.timings.campaign_ms = campaign_ms;
         report.campaign = Some(data);
         report
@@ -228,6 +232,13 @@ impl Resolver {
     /// honest: each `resolve_ms` measures one technique with the machine to
     /// itself.
     pub fn resolve_data(&self, internet: &Internet, data: &CampaignData) -> ResolutionReport {
+        let _resolve = alias_obs::span("resolve");
+        self.resolve_stages(internet, data)
+    }
+
+    /// The technique and merge stages, each under a span relative to the
+    /// caller's `resolve` span.
+    fn resolve_stages(&self, internet: &Internet, data: &CampaignData) -> ResolutionReport {
         let ctx = TechniqueCtx {
             internet,
             extractor: &self.extractor,
@@ -239,7 +250,7 @@ impl Resolver {
         let mut techniques = Vec::with_capacity(self.techniques.len());
         let mut technique_timings = Vec::with_capacity(self.techniques.len());
         for technique in &self.techniques {
-            let span = alias_obs::span!("resolve/technique/{}", technique.name());
+            let span = alias_obs::span!("technique/{}", technique.name());
             let result = technique.resolve(data, &ctx);
             technique_timings.push(TechniqueTiming {
                 technique: result.technique.clone(),
@@ -250,7 +261,7 @@ impl Resolver {
 
         // Merge + statistics stage.  The unified id space is built once and
         // shared by the merge and the pairwise agreement statistics.
-        let stage = alias_obs::span("resolve/merge");
+        let stage = alias_obs::span("merge");
         let unified = UnifiedSpace::build(data, &techniques);
         let merged = self.merge(&unified, &techniques);
         let coverage = self.coverage(&unified, &techniques, &merged);

@@ -269,7 +269,7 @@ impl ActiveCampaign {
             seed: cfg.seed,
         });
         let syn = {
-            let _span = alias_obs::span("campaign/syn_v4");
+            let _span = alias_obs::span("syn_v4");
             zmap.scan_ipv4_sharded(internet, vantage, cfg.start, threads)
         };
         let mut now = syn.finished_at;
@@ -281,7 +281,7 @@ impl ActiveCampaign {
             source: DataSource::Active,
         });
         {
-            let _span = alias_obs::span("campaign/grab_v4");
+            let _span = alias_obs::span("grab_v4");
             now = absorb_phase(
                 &mut store,
                 zgrab.grab_columns_sharded(
@@ -317,7 +317,7 @@ impl ActiveCampaign {
             source: DataSource::Active,
         });
         {
-            let _span = alias_obs::span("campaign/snmp_v4");
+            let _span = alias_obs::span("snmp_v4");
             now = absorb_phase(
                 &mut store,
                 snmp.scan_routed_space_columns_sharded(internet, vantage, now, threads),
@@ -335,7 +335,7 @@ impl ActiveCampaign {
         );
         let v6_syn;
         {
-            let _span = alias_obs::span("campaign/ipv6");
+            let _span = alias_obs::span("ipv6");
             v6_syn = zmap.scan_ipv6_list_sharded(internet, &hitlist.addrs, vantage, now, threads);
             now = v6_syn.finished_at;
             now = absorb_phase(
@@ -376,7 +376,7 @@ impl ActiveCampaign {
         // the echo-responsive population.
         if let Some(rate_cfg) = &cfg.rate_probe {
             alias_obs::event("campaign:rate_probe");
-            let _span = alias_obs::span("campaign/rate_probe");
+            let _span = alias_obs::span("rate_probe");
             let prober = RateProber::new(rate_cfg.clone());
             let targets =
                 prober.discover_targets_sharded(internet, &hitlist.addrs, vantage, now, threads);

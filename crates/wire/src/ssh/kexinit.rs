@@ -61,10 +61,9 @@ impl KexInit {
     /// configurations produce identical fingerprints regardless of the
     /// random cookie.
     pub fn capability_fingerprint(&self) -> String {
+        // `join` on a slice sizes the output once from the parts.
         self.server_capability_lists()
-            .iter()
-            .map(|l| l.joined())
-            .collect::<Vec<_>>()
+            .map(NameList::joined)
             .join(";")
     }
 
@@ -124,30 +123,30 @@ impl KexInit {
         let mut cookie = [0u8; 16];
         cookie.copy_from_slice(&payload[1..17]);
         let mut offset = 17;
-        let mut lists = Vec::with_capacity(10);
-        for _ in 0..10 {
+        let mut next_list = || {
             let (list, consumed) = NameList::parse(&payload[offset..])?;
-            lists.push(list);
             offset += consumed;
-        }
-        check_len(payload, offset + 1 + 4)?;
-        let first_kex_packet_follows = payload[offset] != 0;
-        // Remaining 4 bytes are the reserved uint32, ignored.
-        let mut it = lists.into_iter();
-        Ok(KexInit {
+            Ok::<_, WireError>(list)
+        };
+        // Struct fields evaluate in the order written: the wire order.
+        let mut kex = KexInit {
             cookie,
-            kex_algorithms: it.next().expect("10 lists"),
-            server_host_key_algorithms: it.next().expect("10 lists"),
-            encryption_client_to_server: it.next().expect("10 lists"),
-            encryption_server_to_client: it.next().expect("10 lists"),
-            mac_client_to_server: it.next().expect("10 lists"),
-            mac_server_to_client: it.next().expect("10 lists"),
-            compression_client_to_server: it.next().expect("10 lists"),
-            compression_server_to_client: it.next().expect("10 lists"),
-            languages_client_to_server: it.next().expect("10 lists"),
-            languages_server_to_client: it.next().expect("10 lists"),
-            first_kex_packet_follows,
-        })
+            kex_algorithms: next_list()?,
+            server_host_key_algorithms: next_list()?,
+            encryption_client_to_server: next_list()?,
+            encryption_server_to_client: next_list()?,
+            mac_client_to_server: next_list()?,
+            mac_server_to_client: next_list()?,
+            compression_client_to_server: next_list()?,
+            compression_server_to_client: next_list()?,
+            languages_client_to_server: next_list()?,
+            languages_server_to_client: next_list()?,
+            first_kex_packet_follows: false,
+        };
+        check_len(payload, offset + 1 + 4)?;
+        kex.first_kex_packet_follows = payload[offset] != 0;
+        // Remaining 4 bytes are the reserved uint32, ignored.
+        Ok(kex)
     }
 
     /// Parse a KEXINIT from a binary packet.
@@ -197,6 +196,21 @@ mod tests {
         let (reparsed_packet, _) = SshPacket::parse(&bytes).unwrap();
         let parsed = KexInit::parse_packet(&reparsed_packet).unwrap();
         assert_eq!(parsed, kex);
+    }
+
+    #[test]
+    fn capability_fingerprint_format_is_locked() {
+        // The fingerprint is part of every SSH identifier; its bytes decide
+        // grouping, so any change to them must be deliberate.
+        assert_eq!(
+            KexInit::typical_openssh().capability_fingerprint(),
+            "curve25519-sha256,curve25519-sha256@libssh.org,ecdh-sha2-nistp256,\
+             diffie-hellman-group16-sha512;\
+             rsa-sha2-512,rsa-sha2-256,ecdsa-sha2-nistp256,ssh-ed25519;\
+             chacha20-poly1305@openssh.com,aes128-ctr,aes256-gcm@openssh.com;\
+             umac-64-etm@openssh.com,hmac-sha2-256-etm@openssh.com,hmac-sha2-512;\
+             none,zlib@openssh.com"
+        );
     }
 
     #[test]

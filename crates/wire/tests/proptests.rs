@@ -50,6 +50,29 @@ fn arb_name_list() -> impl Strategy<Value = NameList> {
     prop::collection::vec(arb_name(), 0..6).prop_map(NameList::new)
 }
 
+/// Any name the wire form can carry: printable ASCII other than `,`.
+fn arb_wire_name() -> impl Strategy<Value = String> {
+    "[!-+--~]{1,12}"
+}
+
+/// The list representation `NameList` replaced: one `String` per name.
+/// Its methods are the reference semantics the wire-text form must keep.
+struct NameVec(Vec<String>);
+
+impl NameVec {
+    fn joined(&self) -> String {
+        self.0.join(",")
+    }
+
+    fn preferred(&self) -> Option<&str> {
+        self.0.first().map(String::as_str)
+    }
+
+    fn contains(&self, name: &str) -> bool {
+        self.0.iter().any(|n| n == name)
+    }
+}
+
 fn arb_kexinit() -> impl Strategy<Value = KexInit> {
     (
         any::<[u8; 16]>(),
@@ -120,6 +143,36 @@ proptest! {
         let (parsed, consumed) = NameList::parse(&buf).unwrap();
         prop_assert_eq!(consumed, buf.len());
         prop_assert_eq!(parsed, list);
+    }
+
+    #[test]
+    fn name_list_matches_the_vec_oracle(
+        names in prop::collection::vec(arb_wire_name(), 0..6),
+        probe in arb_wire_name(),
+    ) {
+        let list = NameList::new(&names);
+        let oracle = NameVec(names.clone());
+        prop_assert_eq!(list.joined(), oracle.joined());
+        prop_assert_eq!(list.names().collect::<Vec<_>>(), names.clone());
+        prop_assert_eq!(list.len(), oracle.0.len());
+        prop_assert_eq!(list.is_empty(), oracle.0.is_empty());
+        prop_assert_eq!(list.preferred(), oracle.preferred());
+        for name in names.iter().chain([&probe]) {
+            prop_assert_eq!(list.contains(name), oracle.contains(name));
+        }
+        let mut buf = Vec::new();
+        list.emit(&mut buf);
+        prop_assert_eq!(buf[4..].to_vec(), oracle.joined().into_bytes());
+    }
+
+    #[test]
+    fn name_list_equality_matches_vec_equality(
+        // A two-letter alphabet makes equal and near-equal lists common.
+        a in prop::collection::vec("[ab]{1,2}", 0..4),
+        b in prop::collection::vec("[ab]{1,2}", 0..4),
+    ) {
+        prop_assert_eq!(NameList::new(&a) == NameList::new(&b), a == b);
+        prop_assert_eq!(NameList::new(&a) == NameList::new(&a), true);
     }
 
     #[test]
