@@ -1,18 +1,21 @@
 //! Alias sets: groups of addresses sharing a protocol identifier.
 //!
-//! [`group_view_compact`] is the grouper: it runs in id space, interning
-//! identifiers to [`IdentId`](crate::intern::IdentId)s and reading each
-//! row's [`AddrId`] straight from the store, so the per-observation work
-//! is one payload extraction, one identifier hash and a `Vec` push.
-//! [`AliasSetCollection::from_view`] is the address-space reference
-//! oracle the parity tests compare it against.
+//! [`group_view_compact`] is the grouper.  It never builds an identifier:
+//! each row's identifier key
+//! ([`IdentifierExtractor::write_key`](crate::extract::IdentifierExtractor::write_key))
+//! is written into a reused buffer and hashed, the rows are sorted by hash,
+//! and every run of equal hashes is split exactly by comparing keys.  Each
+//! row's [`AddrId`] is read straight from the store.
+//! [`AliasSetCollection::from_view`] is the address-space reference oracle
+//! the parity tests compare it against: it groups owned identifiers in a
+//! hash map.
 
 use crate::extract::IdentifierExtractor;
 use crate::identifier::ProtocolIdentifier;
-use crate::intern::{AddrId, AddrInterner, CompactAliasSet, IdentInterner};
+use crate::intern::{AddrId, AddrInterner, CompactAliasSet};
 use alias_scan::ObservationView;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::net::IpAddr;
 
 /// One alias set: the identifier and every address observed with it.
@@ -54,24 +57,31 @@ impl AliasSetCollection {
     /// out larger first, then by smallest address, then in the order
     /// their identifiers were first seen.
     pub fn from_view(view: &ObservationView<'_>, extractor: &IdentifierExtractor) -> Self {
-        let mut idents = IdentInterner::new();
+        // Each identifier's slot is the order in which it was first seen.
+        let mut slots: HashMap<ProtocolIdentifier, usize> = HashMap::new();
         let mut groups: Vec<Vec<IpAddr>> = Vec::new();
         for i in 0..view.len() {
             let Some(identifier) = extractor.extract_payload(view.payload_at(i)) else {
                 continue;
             };
-            let ident = idents.intern(identifier);
-            if ident.index() == groups.len() {
+            let next = groups.len();
+            let slot = *slots.entry(identifier).or_insert(next);
+            if slot == next {
                 groups.push(Vec::new());
             }
-            groups[ident.index()].push(view.addr_at(i));
+            groups[slot].push(view.addr_at(i));
         }
-        let mut sets: Vec<AliasSet> = idents
-            .into_keys()
+        let mut identifiers: Vec<Option<ProtocolIdentifier>> =
+            groups.iter().map(|_| None).collect();
+        // lint:allow(det-hash-iter): each identifier lands in its own slot — order-free
+        for (identifier, slot) in slots {
+            identifiers[slot] = Some(identifier);
+        }
+        let mut sets: Vec<AliasSet> = identifiers
             .into_iter()
             .zip(groups)
             .map(|(identifier, addrs)| AliasSet {
-                identifier,
+                identifier: identifier.expect("every slot has its identifier"),
                 addrs: addrs.into_iter().collect(),
             })
             .collect();
@@ -129,26 +139,33 @@ impl CompactGrouping {
 /// Group a columnar store view by extracted identifier, entirely in id
 /// space, with `threads` shard workers.
 ///
+/// No identifier is built.  The work runs in two parallel passes and a
+/// short serial join:
+///
+/// 1. Each worker takes a contiguous range of rows and writes, for every
+///    row that has an identifier, its key into one reused buffer, hashes
+///    it and files `(hash, row)` in the bucket its hash falls in.
+/// 2. Each worker takes a bucket, gathers its pairs from every range,
+///    sorts them, and splits every run of equal hashes into groups by
+///    comparing the rows' keys byte for byte, so a hash collision never
+///    merges two identifiers.  Equal keys hash equally, so a group never
+///    spans two buckets.
+/// 3. The join orders the groups by their first row and marks every
+///    identified row's address as testable.
+///
 /// The view's [`AddrId`] column already holds each row's interned id
-/// (intern-at-scan), so the per-observation work is one payload extraction
-/// and one identifier hash, with no address hashing at all.  Each shard
-/// groups its contiguous slice of the rows into groups keyed by a
-/// shard-local [`IdentId`](crate::intern::IdentId); the join then reduces
-/// in id space — walking every shard's interner in id order and
-/// re-interning only each shard's *distinct* identifiers — instead of
-/// re-hashing the full identifier material once per observation.  Because
-/// shards are contiguous slices reduced in shard order, the output
-/// (member sets, set order, testable ids) is identical for every thread
-/// count.
+/// (intern-at-scan), so no address is hashed.  Groups come out in the order
+/// of their first row, which is the order in which their identifiers are
+/// first seen in the view: the output (member sets, set order, testable
+/// ids) depends neither on the thread count nor on the hash function.
 pub fn group_view_compact(
     view: &ObservationView<'_>,
     extractor: &IdentifierExtractor,
     threads: usize,
 ) -> CompactGrouping {
-    // Extraction + hashing is CPU-bound with no per-item pacing overhead
+    // Key writing + hashing is CPU-bound with no per-item pacing overhead
     // to amortise, so workers beyond the machine's parallelism only add
-    // scheduling noise; the clamp never changes the output (the grouping
-    // is shard-count independent).
+    // scheduling noise; the clamp never changes the output.
     let threads = threads.min(alias_exec::available_parallelism());
     let shard_count = if threads <= 1 {
         1
@@ -156,57 +173,134 @@ pub fn group_view_compact(
         alias_exec::shards_for(threads)
     };
     let shard_ranges = alias_exec::split_even(view.len() as u64, shard_count);
-    let shards: Vec<(IdentInterner, Vec<Vec<AddrId>>)> =
+    let bucket_of = |hash: u64| ((u128::from(hash) * shard_count as u128) >> 64) as usize;
+    let hashed: Vec<Vec<Vec<(u64, u32)>>> =
         alias_exec::shard_map(shard_ranges.len(), threads, |shard| {
             let range = &shard_ranges[shard];
-            let mut idents = IdentInterner::new();
-            let mut groups: Vec<Vec<AddrId>> = Vec::new();
-            for i in range.start as usize..range.end as usize {
-                let Some(identifier) = extractor.extract_payload(view.payload_at(i)) else {
-                    continue;
-                };
-                let ident = idents.intern(identifier);
-                if ident.index() == groups.len() {
-                    groups.push(Vec::new());
+            let mut key = Vec::new();
+            let mut buckets = vec![Vec::new(); shard_count];
+            for row in range.start as usize..range.end as usize {
+                key.clear();
+                if extractor.write_key(view.payload_at(row), &mut key) {
+                    let hash = key_hash(&key);
+                    buckets[bucket_of(hash)].push((hash, row as u32));
                 }
-                groups[ident.index()].push(view.addr_id_at(i));
             }
-            (idents, groups)
+            buckets
         });
 
-    // Id-space reduce, in shard order: re-intern each shard's distinct
-    // identifiers once (moved, not cloned) and splice the id-keyed groups
-    // together.  A single shard is already grouped — no join at all.
-    let single_shard = shards.len() == 1;
-    let mut idents = IdentInterner::new();
-    let mut groups: Vec<Vec<AddrId>> = Vec::new();
-    for (shard_idents, shard_groups) in shards {
-        if single_shard {
-            groups = shard_groups;
-            break;
-        }
-        for (identifier, members) in shard_idents.into_keys().into_iter().zip(shard_groups) {
-            let ident = idents.intern(identifier);
-            if ident.index() == groups.len() {
-                groups.push(members);
-            } else {
-                groups[ident.index()].extend(members);
-            }
-        }
-    }
+    let bucket_sets: Vec<Vec<(u32, CompactAliasSet)>> =
+        alias_exec::shard_map(shard_count, threads, |bucket| {
+            let mut pairs: Vec<(u64, u32)> = hashed
+                .iter()
+                .flat_map(|shard| shard[bucket].iter().copied())
+                .collect();
+            pairs.sort_unstable();
+            split_hash_runs(&pairs, |row, out| {
+                extractor.write_key(view.payload_at(row as usize), out);
+            })
+            .into_iter()
+            .map(|rows| {
+                let members = rows
+                    .iter()
+                    .map(|&row| view.addr_id_at(row as usize))
+                    .collect();
+                (rows[0], CompactAliasSet::from_ids(members))
+            })
+            .filter(|(_, set)| set.len() >= 2)
+            .collect()
+        });
 
-    let mut sets = Vec::new();
-    let mut testable: Vec<AddrId> = Vec::new();
-    for members in groups {
-        let set = CompactAliasSet::from_ids(members);
-        testable.extend(set.iter());
-        if set.len() >= 2 {
-            sets.push(set);
-        }
+    let mut sets: Vec<(u32, CompactAliasSet)> = bucket_sets.into_iter().flatten().collect();
+    sets.sort_unstable_by_key(|&(first_row, _)| first_row);
+    let mut identified = vec![false; view.store().interner().len()];
+    for &(_, row) in hashed.iter().flatten().flatten() {
+        identified[view.addr_id_at(row as usize).index()] = true;
     }
-    testable.sort_unstable();
-    testable.dedup();
-    CompactGrouping { sets, testable }
+    let testable = identified
+        .iter()
+        .enumerate()
+        .filter(|&(_, &seen)| seen)
+        .map(|(id, _)| AddrId(id as u32))
+        .collect();
+    CompactGrouping {
+        sets: sets.into_iter().map(|(_, set)| set).collect(),
+        testable,
+    }
+}
+
+/// A fast 64-bit hash of an identifier key, 16 bytes per step: each step
+/// folds the 128-bit product of the two halves, one mixed with the running
+/// hash (the wyhash / foldhash step).  Grouping only uses it to bring equal
+/// keys together; equal hashes are always confirmed by comparing the keys,
+/// so keys crafted to collide cost a sort of their run, never a wrong group.
+fn key_hash(key: &[u8]) -> u64 {
+    const SEED: u64 = 0x243f_6a88_85a3_08d3;
+    const MIX: u64 = 0x1319_8a2e_0370_7344;
+    let fold = |a: u64, b: u64| {
+        let product = u128::from(a) * u128::from(b);
+        (product as u64) ^ ((product >> 64) as u64)
+    };
+    let halves = |block: &[u8]| {
+        let (low, high) = block.split_at(8);
+        (
+            u64::from_le_bytes(low.try_into().expect("8 bytes")),
+            u64::from_le_bytes(high.try_into().expect("8 bytes")),
+        )
+    };
+    let mut hash = SEED ^ key.len() as u64;
+    let mut blocks = key.chunks_exact(16);
+    for block in &mut blocks {
+        let (low, high) = halves(block);
+        hash = fold(low ^ hash, high ^ MIX);
+    }
+    let rest = blocks.remainder();
+    let mut last = [0u8; 16];
+    last[..rest.len()].copy_from_slice(rest);
+    let (low, high) = halves(&last);
+    fold(low ^ hash, high ^ MIX ^ SEED)
+}
+
+/// Split `(hash, row)` pairs, sorted ascending, into the groups of rows
+/// with equal keys that hold more than one row; `write_key(row, buf)`
+/// appends a row's key to `buf`.
+///
+/// A run of one hash is a group of one row and is skipped without looking
+/// at its key.  Longer runs are split by sorting their rows by key, so rows
+/// whose hashes collide still land in different groups, and a run of `k`
+/// colliding rows costs `O(k log k)` key comparisons whatever the keys.  The
+/// groups come out ascending, ordered by their first row.
+fn split_hash_runs(
+    hashed: &[(u64, u32)],
+    mut write_key: impl FnMut(u32, &mut Vec<u8>),
+) -> Vec<Vec<u32>> {
+    let mut groups: Vec<Vec<u32>> = Vec::new();
+    // The keys of the current run, back to back, and each row's span.
+    let mut keys = Vec::new();
+    let mut spans: Vec<(usize, usize, u32)> = Vec::new();
+    for same_hash in hashed.chunk_by(|a, b| a.0 == b.0) {
+        if same_hash.len() == 1 {
+            continue;
+        }
+        keys.clear();
+        spans.clear();
+        for &(_, row) in same_hash {
+            let start = keys.len();
+            write_key(row, &mut keys);
+            spans.push((start, keys.len(), row));
+        }
+        let key = |&(start, end, _): &(usize, usize, u32)| &keys[start..end];
+        // Rows are ascending and keys mostly all equal: already sorted.
+        spans.sort_by(|a, b| key(a).cmp(key(b)));
+        groups.extend(
+            spans
+                .chunk_by(|a, b| key(a) == key(b))
+                .filter(|same_key| same_key.len() >= 2)
+                .map(|same_key| same_key.iter().map(|&(_, _, row)| row).collect()),
+        );
+    }
+    groups.sort_unstable_by_key(|rows: &Vec<u32>| rows[0]);
+    groups
 }
 
 /// Cut alias sets down to the members of one address family (IPv6 when
@@ -422,6 +516,104 @@ mod tests {
             ),
             AliasSetCollection::from_view(&active_only.view_all(), &extractor())
         );
+    }
+
+    #[test]
+    fn run_splitting_is_exact_when_every_hash_collides() {
+        // Rows 0..12 with keys from a few distinct values, in an order
+        // where groups interleave; every pair carries the same hash.
+        let keys: [&[u8]; 12] = [
+            b"c", b"a", b"c", b"b", b"a", b"d", b"c", b"", b"e", b"a", b"ab", b"",
+        ];
+        let hashed: Vec<(u64, u32)> = (0..keys.len() as u32).map(|row| (7, row)).collect();
+        let groups = split_hash_runs(&hashed, |row, key| {
+            key.extend_from_slice(keys[row as usize]);
+        });
+        // Groups in first-seen order, rows ascending; rows 3, 5, 8 and 10
+        // are alone with their keys.
+        assert_eq!(groups, vec![vec![0, 2, 6], vec![1, 4, 9], vec![7, 11]]);
+
+        // Distinct hashes: a lone row is never read, and groups still come
+        // out by first row.
+        let hashed = vec![(1, 4), (1, 9), (2, 0), (3, 2), (3, 6)];
+        let groups = split_hash_runs(&hashed, |row, key| {
+            assert_ne!(row, 0, "a lone row's key is never written");
+            key.extend_from_slice(keys[row as usize]);
+        });
+        assert_eq!(groups, vec![vec![2, 6], vec![4, 9]]);
+        assert!(split_hash_runs(&[], |_, _| unreachable!()).is_empty());
+    }
+
+    #[test]
+    fn passive_shaped_grouping_matches_the_collection_oracle() {
+        // Mostly one-row identifiers, some shared by several rows spread
+        // over the view, repeated rows of one address, both families and
+        // rows without a host key: the shape of a passive scan snapshot.
+        let mut rows = Vec::new();
+        for i in 0u32..3_000 {
+            let addr = if i % 11 == 0 {
+                format!("2001:db8::{:x}", i)
+            } else {
+                format!("10.{}.{}.{}", i >> 16, (i >> 8) & 0xff, i & 0xff)
+            };
+            let key_byte = if i % 7 == 0 { (i % 40) as u8 } else { 0 };
+            let mut obs = ssh_obs(&addr, key_byte, DataSource::Censys);
+            if let ServicePayload::Ssh(ssh) = &mut obs.payload {
+                if i % 7 != 0 {
+                    // A key of its own.
+                    let material = ssh.host_key.as_mut().unwrap();
+                    material.key_material[..4].copy_from_slice(&i.to_be_bytes());
+                    material.key_material[31] = 0xee;
+                }
+                if i % 97 == 0 {
+                    ssh.host_key = None;
+                }
+            }
+            rows.push(obs.clone());
+            if i % 13 == 0 {
+                obs.source = DataSource::Active;
+                rows.push(obs);
+            }
+        }
+        let store = ObservationStore::from_observations(rows);
+        let interner = store.interner();
+        let view = store.view_all();
+        let oracle = AliasSetCollection::from_view(&view, &extractor());
+        let mut oracle_sets: Vec<_> = oracle
+            .non_singleton_sets()
+            .into_iter()
+            .map(|s| s.addrs.clone())
+            .collect();
+        oracle_sets.sort_by(|a, b| a.iter().next().cmp(&b.iter().next()));
+        assert!(oracle_sets.len() >= 30, "{}", oracle_sets.len());
+        assert!(oracle.sets().len() > 2_000, "{}", oracle.sets().len());
+
+        let serial = group_view_compact(&view, &extractor(), 1);
+        for threads in [1usize, 2, 7] {
+            let grouped = group_view_compact(&view, &extractor(), threads);
+            assert_eq!(grouped, serial, "threads={threads}");
+            let mut canonical = grouped.sets.clone();
+            sort_canonical_compact(&mut canonical, interner);
+            let resolved: Vec<_> = canonical.iter().map(|s| s.to_addr_set(interner)).collect();
+            assert_eq!(resolved, oracle_sets, "threads={threads}");
+            assert_eq!(grouped.testable_addrs(interner), oracle.all_addresses());
+        }
+        // First-seen order: the oracle's sets ordered by first row are the
+        // grouper's sets in its own order.
+        let first_row = |set: &AliasSet| {
+            (0..view.len())
+                .find(|&i| set.addrs.contains(&view.addr_at(i)))
+                .unwrap()
+        };
+        let mut by_first_row = oracle.non_singleton_sets();
+        by_first_row.sort_by_key(|set| first_row(set));
+        let in_order: Vec<_> = serial
+            .sets
+            .iter()
+            .map(|s| s.to_addr_set(interner))
+            .collect();
+        let expected: Vec<_> = by_first_row.into_iter().map(|s| s.addrs.clone()).collect();
+        assert_eq!(in_order, expected);
     }
 
     #[test]

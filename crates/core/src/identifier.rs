@@ -20,11 +20,45 @@
 //! Identifier *policies* expose the ablations discussed in the paper
 //! (key-only vs. combined SSH identifiers, BGP-identifier-only vs. the full
 //! OPEN tuple).
+//!
+//! ## Identifier keys
+//!
+//! Grouping does not build the owned identifiers above.  It writes each
+//! row's *key* into a reused buffer instead
+//! ([`IdentifierExtractor::write_key`](crate::extract::IdentifierExtractor::write_key)):
+//! a byte encoding of the identifier with two keys equal exactly when the
+//! two [`ProtocolIdentifier`]s are.  A key is the protocol tag, then the
+//! identifier's fields in declaration order:
+//!
+//! * text fields as their UTF-8 bytes, each ended by `0xff`, a byte UTF-8
+//!   never contains, so no field can run into the next;
+//! * the SSH banner as its line pieces and the capability fingerprint as
+//!   its five lists joined with `;`, the very bytes of the rendered text;
+//! * byte material the identifier renders as hex (host key, engine ID) as
+//!   the raw bytes behind a length prefix: hex is injective, so equal bytes
+//!   mean equal hex;
+//! * integers big-endian at their fixed width, the BGP Identifier as its
+//!   four octets (its dotted-quad rendering is injective too).
 
 use alias_wire::bgp::{OpenMessage, OptionalParameter};
 use alias_wire::snmp::EngineId;
 use alias_wire::ssh::SshObservation;
 use serde::{Deserialize, Serialize};
+
+/// Ends every text field of an identifier key: a byte no UTF-8 text
+/// contains.
+const KEY_END: u8 = 0xff;
+
+/// Protocol tags, the first byte of every identifier key.
+const SSH_TAG: u8 = 0;
+const BGP_TAG: u8 = 1;
+const SNMPV3_TAG: u8 = 2;
+
+/// Append `bytes` behind a 4-byte big-endian length prefix.
+fn push_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    out.extend_from_slice(bytes);
+}
 
 /// How much of the SSH material to include in the identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -84,6 +118,42 @@ impl SshIdentifier {
             host_key,
         })
     }
+
+    /// Append the key of `from_observation(obs, policy)` to `out` (see the
+    /// module docs); `false`, with nothing written, where that is `None`.
+    pub(crate) fn write_key(
+        obs: &SshObservation,
+        policy: SshIdentifierPolicy,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        let Some(host_key) = obs.host_key.as_ref() else {
+            return false;
+        };
+        out.push(SSH_TAG);
+        if policy == SshIdentifierPolicy::Full {
+            for piece in obs.banner.line_pieces() {
+                out.extend_from_slice(piece.as_bytes());
+            }
+        }
+        out.push(KEY_END);
+        if policy != SshIdentifierPolicy::KeyOnly {
+            if let Some(kex) = &obs.kex_init {
+                for (index, list) in kex.server_capability_lists().into_iter().enumerate() {
+                    if index > 0 {
+                        out.push(b';');
+                    }
+                    out.extend_from_slice(list.joined().as_bytes());
+                }
+            }
+        }
+        out.push(KEY_END);
+        // The fingerprint is `name:hex(material)`; no algorithm name
+        // contains `:`, so the pair decides it.
+        out.extend_from_slice(host_key.algorithm.name().as_bytes());
+        out.push(KEY_END);
+        push_prefixed(out, &host_key.key_material);
+        true
+    }
 }
 
 /// The BGP identifier of one responsive address.
@@ -127,27 +197,55 @@ impl BgpIdentifier {
             },
         }
     }
+
+    /// Append the key of `from_open(open, policy)` to `out` (see the module
+    /// docs).
+    pub(crate) fn write_key(open: &OpenMessage, policy: BgpIdentifierPolicy, out: &mut Vec<u8>) {
+        out.push(BGP_TAG);
+        out.extend_from_slice(&open.bgp_identifier.octets());
+        match policy {
+            BgpIdentifierPolicy::IdentifierOnly => {
+                // asn, hold time, version and length are zero, capabilities
+                // empty.
+                out.extend_from_slice(&[0; 9]);
+            }
+            BgpIdentifierPolicy::FullOpen => {
+                out.extend_from_slice(&open.effective_asn().to_be_bytes());
+                out.extend_from_slice(&open.hold_time.to_be_bytes());
+                out.push(open.version);
+                out.extend_from_slice(&open.wire_length().to_be_bytes());
+                write_capabilities(&open.optional_parameters, out);
+            }
+        }
+        out.push(KEY_END);
+    }
 }
 
 fn render_capabilities(params: &[OptionalParameter]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
+    let mut out = Vec::new();
+    write_capabilities(params, &mut out);
+    String::from_utf8(out).expect("capability rendering is ASCII")
+}
+
+/// Append the canonical capability rendering to `out`: `code:hexvalue` /
+/// `pTYPE:hexvalue`, comma-joined.
+fn write_capabilities(params: &[OptionalParameter], out: &mut Vec<u8>) {
+    use std::io::Write as _;
     for (index, param) in params.iter().enumerate() {
         if index > 0 {
-            out.push(',');
+            out.push(b',');
         }
         match param {
             OptionalParameter::Capability(cap) => {
-                write!(out, "{}:", cap.code()).expect("write to String");
-                crate::hex::push_hex(&mut out, &cap.value_bytes());
+                write!(out, "{}:", cap.code()).expect("write to Vec");
+                crate::hex::extend_hex(out, &cap.value_bytes());
             }
             OptionalParameter::Other { param_type, value } => {
-                write!(out, "p{param_type}:").expect("write to String");
-                crate::hex::push_hex(&mut out, value);
+                write!(out, "p{param_type}:").expect("write to Vec");
+                crate::hex::extend_hex(out, value);
             }
         }
     }
-    out
 }
 
 /// The SNMPv3 identifier: the authoritative engine ID.
@@ -163,6 +261,13 @@ impl Snmpv3Identifier {
         Snmpv3Identifier {
             engine_id: engine_id.to_hex(),
         }
+    }
+
+    /// Append the key of `from_engine_id(engine_id)` to `out` (see the
+    /// module docs).
+    pub(crate) fn write_key(engine_id: &EngineId, out: &mut Vec<u8>) {
+        out.push(SNMPV3_TAG);
+        push_prefixed(out, engine_id.as_bytes());
     }
 }
 

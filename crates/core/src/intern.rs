@@ -4,16 +4,10 @@
 //!
 //! * [`AddrInterner`] — `IpAddr` ⇄ dense [`AddrId`]; a campaign interns
 //!   every observed address once, and grouping + merging run on the ids.
-//! * [`IdentInterner`] — [`crate::identifier::ProtocolIdentifier`] ⇄ dense
-//!   [`IdentId`]; identifier grouping keys maps by id instead of by owned
-//!   identifier values.
 //! * [`CompactAliasSet`] — the id-based alias set (sorted `Vec<AddrId>`);
 //!   `BTreeSet<IpAddr>` is resolved only at the report/rendering boundary.
+//!
+//! Identifiers get no id space: grouping compares their keys directly (see
+//! [`crate::alias_set::group_view_compact`]).
 
-pub use alias_intern::{
-    sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet, IdentId, Interner,
-};
-
-/// Interner for protocol identifiers: the id space identifier grouping
-/// runs on.
-pub type IdentInterner = Interner<crate::identifier::ProtocolIdentifier>;
+pub use alias_intern::{sort_canonical_compact, AddrId, AddrInterner, CompactAliasSet};

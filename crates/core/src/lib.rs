@@ -47,4 +47,4 @@ pub use extract::{ExtractionConfig, IdentifierExtractor};
 pub use identifier::{
     BgpIdentifier, BgpIdentifierPolicy, ProtocolIdentifier, SshIdentifier, SshIdentifierPolicy,
 };
-pub use intern::{AddrId, AddrInterner, CompactAliasSet, IdentId, IdentInterner};
+pub use intern::{AddrId, AddrInterner, CompactAliasSet};

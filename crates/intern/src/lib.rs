@@ -1,19 +1,15 @@
 //! # alias-intern
 //!
-//! Dense interning of addresses and protocol identifiers — the id space the
-//! hot resolution pipeline runs on.
+//! Dense interning of addresses — the id space the hot resolution pipeline
+//! runs on.
 //!
-//! At Internet scale the dominant costs of identifier-based alias
-//! resolution are hashing/comparing identifier strings and merging sets of
-//! `IpAddr` keyed by ordered containers.  This crate replaces both value
-//! spaces with dense `u32` ids assigned once:
+//! At Internet scale a dominant cost of identifier-based alias resolution
+//! is merging sets of `IpAddr` keyed by ordered containers.  This crate
+//! replaces the address value space with dense `u32` ids assigned once:
 //!
 //! * [`AddrInterner`] maps `IpAddr` ⇄ [`AddrId`] — a campaign interns every
 //!   observed address up front, and grouping, union–find merging and set
 //!   algebra all run on the ids;
-//! * [`Interner`] maps any hashable key ⇄ [`IdentId`] — the identifier
-//!   extraction path uses it per shard so the cross-shard join reduces in
-//!   id space instead of re-hashing full identifier strings;
 //! * [`CompactAliasSet`] is the id-based alias set: a sorted, deduplicated
 //!   `Vec<AddrId>`, converted back to `BTreeSet<IpAddr>` only at the
 //!   report/rendering boundary.
@@ -37,7 +33,6 @@
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::Hash;
 use std::net::IpAddr;
 
 /// Dense id of an interned address (index into its [`AddrInterner`]).
@@ -47,20 +42,6 @@ use std::net::IpAddr;
 pub struct AddrId(pub u32);
 
 impl AddrId {
-    /// The id as a `usize` index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Dense id of an interned identifier (index into its [`Interner`]).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-pub struct IdentId(pub u32);
-
-impl IdentId {
     /// The id as a `usize` index.
     #[inline]
     pub fn index(self) -> usize {
@@ -194,80 +175,6 @@ impl AddrInterner {
     }
 }
 
-/// Key ⇄ [`IdentId`] map with dense, insertion-ordered ids — the generic
-/// interner behind identifier grouping.
-///
-/// Keys are stored exactly once (in the lookup map), so interning a fresh
-/// key moves it — no clone, which matters when most keys are large
-/// one-observation identifiers.  The id → key direction is recovered by
-/// [`into_keys`](Self::into_keys), which inverts the map when grouping
-/// finishes.
-#[derive(Debug, Clone)]
-pub struct Interner<K: Eq + Hash> {
-    ids: HashMap<K, IdentId>,
-}
-
-impl<K: Eq + Hash> Default for Interner<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Eq + Hash> Interner<K> {
-    /// An empty interner.
-    pub fn new() -> Self {
-        Interner {
-            ids: HashMap::new(),
-        }
-    }
-
-    /// The id of `key`, interning it if new (fresh keys are moved in, not
-    /// cloned).
-    pub fn intern(&mut self, key: K) -> IdentId {
-        let next = IdentId(self.ids.len() as u32);
-        match self.ids.entry(key) {
-            Entry::Occupied(entry) => *entry.get(),
-            Entry::Vacant(entry) => {
-                entry.insert(next);
-                next
-            }
-        }
-    }
-
-    /// The id of `key`, if it has been interned.
-    #[inline]
-    pub fn get(&self, key: &K) -> Option<IdentId> {
-        self.ids.get(key).copied()
-    }
-
-    /// Number of distinct interned keys.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether nothing has been interned.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Consume the interner, returning the keys in id order (the cheap way
-    /// to walk a shard's identifiers during a reduce: each key is moved
-    /// into its dense slot, never cloned).
-    pub fn into_keys(self) -> Vec<K> {
-        let mut slots: Vec<Option<K>> = (0..self.ids.len()).map(|_| None).collect();
-        // lint:allow(det-hash-iter): each key lands in its dense id-indexed slot — order-free
-        for (key, id) in self.ids {
-            slots[id.index()] = Some(key);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("ids are dense"))
-            .collect()
-    }
-}
-
 /// An alias set in id space: a sorted, deduplicated `Vec<AddrId>`.
 ///
 /// The compact counterpart of `BTreeSet<IpAddr>`: membership is a binary
@@ -361,20 +268,36 @@ impl CompactAliasSet {
 /// order *total* even when distinct sets share their smallest address and
 /// size — a corner where the pre-interning pipeline silently depended on
 /// hash-map iteration order.
+///
+/// Each set's smallest address and size are computed once, not once per
+/// comparison; only sets that tie on both are compared member by member.
 pub fn sort_canonical_compact(sets: &mut [CompactAliasSet], interner: &AddrInterner) {
-    sets.sort_by(|a, b| {
-        a.min_addr(interner)
-            .cmp(&b.min_addr(interner))
-            .then_with(|| b.len().cmp(&a.len()))
-            .then_with(|| {
-                // Rare: full member comparison in address order.
-                let mut a_addrs: Vec<IpAddr> = a.iter().map(|id| interner.addr(id)).collect();
-                let mut b_addrs: Vec<IpAddr> = b.iter().map(|id| interner.addr(id)).collect();
-                a_addrs.sort_unstable();
-                b_addrs.sort_unstable();
-                a_addrs.cmp(&b_addrs)
-            })
+    let mut keyed: Vec<(Option<IpAddr>, usize, CompactAliasSet)> = sets
+        .iter_mut()
+        .map(|set| (set.min_addr(interner), set.len(), std::mem::take(set)))
+        .collect();
+    keyed.sort_by(|(a_min, a_len, a), (b_min, b_len, b)| {
+        a_min
+            .cmp(b_min)
+            .then_with(|| b_len.cmp(a_len))
+            .then_with(|| cmp_members_by_addr(a, b, interner))
     });
+    for (slot, (_, _, set)) in sets.iter_mut().zip(keyed) {
+        *slot = set;
+    }
+}
+
+/// Compare two sets by their member addresses in ascending address order.
+fn cmp_members_by_addr(
+    a: &CompactAliasSet,
+    b: &CompactAliasSet,
+    interner: &AddrInterner,
+) -> std::cmp::Ordering {
+    let mut a_addrs: Vec<IpAddr> = a.iter().map(|id| interner.addr(id)).collect();
+    let mut b_addrs: Vec<IpAddr> = b.iter().map(|id| interner.addr(id)).collect();
+    a_addrs.sort_unstable();
+    b_addrs.sort_unstable();
+    a_addrs.cmp(&b_addrs)
 }
 
 #[cfg(test)]
@@ -431,23 +354,6 @@ mod tests {
         let conflicting = base.intern(ip("198.51.100.1"));
         assert_eq!(conflicting, AddrId(2));
         assert_ne!(extended.addr(AddrId(2)), base.addr(AddrId(2)));
-    }
-
-    #[test]
-    fn generic_interner_round_trips_keys() {
-        let mut interner: Interner<String> = Interner::new();
-        let a = interner.intern("ssh-key-1".to_owned());
-        let b = interner.intern("ssh-key-2".to_owned());
-        assert_eq!(interner.intern("ssh-key-1".to_owned()), a);
-        assert_eq!((a, b), (IdentId(0), IdentId(1)));
-        assert_eq!(interner.get(&"ssh-key-2".to_owned()), Some(b));
-        assert_eq!(interner.get(&"missing".to_owned()), None);
-        assert_eq!(interner.len(), 2);
-        assert!(!interner.is_empty());
-        assert_eq!(
-            interner.into_keys(),
-            vec!["ssh-key-1".to_owned(), "ssh-key-2".to_owned()]
-        );
     }
 
     #[test]
@@ -538,7 +444,53 @@ mod tests {
         assert!(duplicated.validate().unwrap_err().contains("not canonical"));
     }
 
+    /// The canonical sort as first written: one comparator that recomputes
+    /// both smallest addresses on every comparison.
+    fn sort_canonical_compact_oracle(sets: &mut [CompactAliasSet], interner: &AddrInterner) {
+        sets.sort_by(|a, b| {
+            a.min_addr(interner)
+                .cmp(&b.min_addr(interner))
+                .then_with(|| b.len().cmp(&a.len()))
+                .then_with(|| {
+                    let mut a_addrs: Vec<IpAddr> = a.iter().map(|id| interner.addr(id)).collect();
+                    let mut b_addrs: Vec<IpAddr> = b.iter().map(|id| interner.addr(id)).collect();
+                    a_addrs.sort_unstable();
+                    b_addrs.sort_unstable();
+                    a_addrs.cmp(&b_addrs)
+                })
+        });
+    }
+
     proptest::proptest! {
+        // Few addresses and short sets, so sets often tie on smallest
+        // address and size, and duplicate and empty sets occur.
+        #[test]
+        fn canonical_sort_matches_the_per_comparison_oracle(
+            raw in proptest::collection::vec(0u16..40, 1..40),
+            sets in proptest::collection::vec(proptest::collection::vec(0usize..40, 0..5), 0..40),
+        ) {
+            let interner = AddrInterner::from_addrs(raw.iter().map(|&v| {
+                if v % 3 == 0 {
+                    IpAddr::from([0x2001, 0xdb8, 0, 0, 0, 0, 0, v])
+                } else {
+                    IpAddr::from([10, 0, 0, v as u8])
+                }
+            }));
+            let sets: Vec<CompactAliasSet> = sets
+                .into_iter()
+                .map(|members| {
+                    CompactAliasSet::from_ids(
+                        members.into_iter().map(|m| AddrId((m % interner.len()) as u32)).collect(),
+                    )
+                })
+                .collect();
+            let mut expected = sets.clone();
+            sort_canonical_compact_oracle(&mut expected, &interner);
+            let mut sorted = sets;
+            sort_canonical_compact(&mut sorted, &interner);
+            proptest::prop_assert_eq!(sorted, expected);
+        }
+
         #[test]
         fn interning_is_a_bijection_on_distinct_addrs(raw in proptest::collection::vec(0u32..5_000, 0..300)) {
             let addrs: Vec<IpAddr> = raw

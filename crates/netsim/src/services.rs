@@ -10,7 +10,7 @@ use crate::profiles::{bgp_capabilities_for, BgpProfile, SshProfile};
 use alias_wire::bgp::{CeaseSubcode, NotificationMessage, OpenMessage, AS_TRANS};
 use alias_wire::snmp::{EngineId, Snmpv3Message, UsmSecurityParameters};
 use alias_wire::ssh::hostkey::KexReply;
-use alias_wire::ssh::HostKey;
+use alias_wire::ssh::{HostKey, SshPacket};
 use std::net::Ipv4Addr;
 
 /// The server→client byte stream of one scripted SSH service-scan session:
@@ -32,7 +32,9 @@ pub fn ssh_session_bytes(
 }
 
 /// [`ssh_session_bytes`], appending to a caller-owned buffer so a scan loop
-/// can reuse one allocation across millions of sessions.
+/// can reuse one allocation across millions of sessions.  Every message is
+/// written straight into `out`: no profile data is copied and no temporary
+/// payload or packet is built.
 pub fn ssh_session_bytes_into(
     profile: &SshProfile,
     divergent_profile: Option<&SshProfile>,
@@ -41,29 +43,36 @@ pub fn ssh_session_bytes_into(
     out: &mut Vec<u8>,
 ) {
     let effective = divergent_profile.unwrap_or(profile);
-    out.extend_from_slice(&effective.banner.to_bytes());
+    effective.banner.emit(out);
 
-    let mut kexinit = effective.kexinit.clone();
-    // The cookie is random per connection on real servers; derive it from the
-    // seed so captures are deterministic but visibly non-constant.
-    let seed_bytes = cookie_seed.to_be_bytes();
-    for (i, byte) in kexinit.cookie.iter_mut().enumerate() {
-        *byte = seed_bytes[i % 8] ^ (i as u8).wrapping_mul(37);
-    }
-    out.extend_from_slice(&kexinit.to_packet().to_bytes());
+    let packet = SshPacket::open_frame(out);
+    effective
+        .kexinit
+        .emit_payload(&session_cookie(cookie_seed), out);
+    SshPacket::close_frame(out, packet);
 
     // Ephemeral key and signature are opaque to the scanner; deterministic
     // filler derived from the host key keeps captures reproducible.
-    let mut ephemeral = vec![0u8; 32];
+    let material = &host_key.key_material;
+    let mut ephemeral = [0u8; 32];
     for (i, byte) in ephemeral.iter_mut().enumerate() {
-        *byte = host_key.key_material[i % host_key.key_material.len()].wrapping_add(i as u8);
+        *byte = material[i % material.len()].wrapping_add(i as u8);
     }
-    let reply = KexReply {
-        host_key: host_key.clone(),
-        ephemeral_public: ephemeral,
-        signature: vec![0xa5; 64],
-    };
-    out.extend_from_slice(&reply.to_packet().to_bytes());
+    let packet = SshPacket::open_frame(out);
+    KexReply::emit_payload(host_key, &ephemeral, &[0xa5; 64], out);
+    SshPacket::close_frame(out, packet);
+}
+
+/// The KEXINIT cookie of one session.  The cookie is random per connection
+/// on real servers; deriving it from the seed keeps captures deterministic
+/// but visibly non-constant.
+fn session_cookie(cookie_seed: u64) -> [u8; 16] {
+    let seed_bytes = cookie_seed.to_be_bytes();
+    let mut cookie = [0u8; 16];
+    for (i, byte) in cookie.iter_mut().enumerate() {
+        *byte = seed_bytes[i % 8] ^ (i as u8).wrapping_mul(37);
+    }
+    cookie
 }
 
 /// The server→client byte stream of a BGP service-scan session: an OPEN
@@ -122,6 +131,69 @@ mod tests {
 
     fn key() -> HostKey {
         HostKey::new(HostKeyAlgorithm::Ed25519, (0..32).collect())
+    }
+
+    /// The clone-based session construction `ssh_session_bytes_into`
+    /// replaced: copy the profile's KEXINIT to set its cookie, build each
+    /// message as a `KexInit` / `KexReply` value and frame it through
+    /// `SshPacket::to_bytes`.
+    fn ssh_session_bytes_oracle(
+        profile: &SshProfile,
+        divergent_profile: Option<&SshProfile>,
+        host_key: &HostKey,
+        cookie_seed: u64,
+    ) -> Vec<u8> {
+        let effective = divergent_profile.unwrap_or(profile);
+        let mut out = effective.banner.to_bytes();
+        let mut kexinit = effective.kexinit.clone();
+        let seed_bytes = cookie_seed.to_be_bytes();
+        for (i, byte) in kexinit.cookie.iter_mut().enumerate() {
+            *byte = seed_bytes[i % 8] ^ (i as u8).wrapping_mul(37);
+        }
+        out.extend_from_slice(&kexinit.to_packet().to_bytes());
+        let mut ephemeral = vec![0u8; 32];
+        for (i, byte) in ephemeral.iter_mut().enumerate() {
+            *byte = host_key.key_material[i % host_key.key_material.len()].wrapping_add(i as u8);
+        }
+        let reply = KexReply {
+            host_key: host_key.clone(),
+            ephemeral_public: ephemeral,
+            signature: vec![0xa5; 64],
+        };
+        out.extend_from_slice(&reply.to_packet().to_bytes());
+        out
+    }
+
+    #[test]
+    fn ssh_session_bytes_match_the_clone_based_oracle() {
+        let profiles = ssh_profiles();
+        let keys = [
+            key(),
+            HostKey::new(HostKeyAlgorithm::Rsa, (0..=255).cycle().take(270).collect()),
+            HostKey::new(HostKeyAlgorithm::EcdsaP256, vec![0x04; 65]),
+            HostKey::new(HostKeyAlgorithm::Dsa, vec![7]),
+        ];
+        let mut out = b"earlier session".to_vec();
+        for (p, profile) in profiles.iter().enumerate() {
+            let divergent = profiles.get((p + 3) % profiles.len());
+            for (k, host_key) in keys.iter().enumerate() {
+                for seed in [0, 1, 42, 0x0123_4567_89ab_cdef, u64::MAX] {
+                    let divergent = divergent.filter(|_| (seed as usize ^ k) % 2 == 1);
+                    let expected = ssh_session_bytes_oracle(profile, divergent, host_key, seed);
+                    assert_eq!(
+                        ssh_session_bytes(profile, divergent, host_key, seed),
+                        expected,
+                        "profile={} key={k} seed={seed}",
+                        profile.name
+                    );
+                    // Appending keeps what the buffer already held.
+                    let before = out.len();
+                    ssh_session_bytes_into(profile, divergent, host_key, seed, &mut out);
+                    assert_eq!(out[before..], expected[..]);
+                }
+            }
+        }
+        assert!(out.starts_with(b"earlier session"));
     }
 
     #[test]

@@ -12,11 +12,12 @@ use alias_scan::CampaignData;
 /// Runs entirely in id space, over columns: the campaign store's protocol
 /// column selects the rows (one byte per observation — payloads are never
 /// touched by the filter), and
-/// [`alias_core::alias_set::group_view_compact`] groups them with
-/// `ctx.threads` shard workers building shard-local `IdentId`-keyed maps
-/// over the campaign's [`AddrId`](alias_core::intern::AddrId) column —
-/// each row's id is read straight from the store (intern-at-scan), no
-/// address hashing.  The result keeps the compact sets, resolving
+/// [`alias_core::alias_set::group_view_compact`] groups them: `ctx.threads`
+/// shard workers hash each row's identifier key, written into a reused
+/// buffer, and runs of equal hashes are split by comparing keys; members
+/// come from the campaign's [`AddrId`](alias_core::intern::AddrId)
+/// column — each row's id is read straight from the store
+/// (intern-at-scan), no address hashing.  The result keeps the compact sets, resolving
 /// addresses only at the report boundary.  Pure — no follow-up probing.
 #[derive(Debug, Clone, Copy)]
 pub struct IdentifierTechnique {

@@ -267,8 +267,8 @@ fn every_technique_matches_its_legacy_path_across_seeds_and_threads() {
 
 #[test]
 fn interned_merge_matches_the_legacy_merge_across_seeds_and_threads() {
-    // The id-based pipeline end to end (grouping on IdentId/AddrId, merge
-    // on AddrId) against the legacy String/BTreeSet spelling, for real
+    // The id-based pipeline end to end (grouping on identifier keys and
+    // AddrIds, merge on AddrId) against the legacy String/BTreeSet spelling, for real
     // campaigns over three seeds and every thread count.
     let extractor = IdentifierExtractor::new(ExtractionConfig::paper());
     for seed in SEEDS {
@@ -359,8 +359,8 @@ mod proptest_interned_parity {
     proptest! {
         // Random batches of SSH + SNMPv3 observations (shared addresses
         // included, so the cross-protocol merge has real work): the
-        // interned path — grouping by IdentId over the campaign AddrId
-        // space, merging on ids — must be set-for-set identical to the
+        // interned path — grouping by identifier key over the campaign
+        // AddrId space, merging on ids — must be set-for-set identical to the
         // legacy owned-String / BTreeSet spelling at 1, 2 and 7 threads.
         #[test]
         fn proptest_interned_pipeline_matches_legacy(

@@ -33,6 +33,15 @@ pub fn push_hex(out: &mut String, bytes: &[u8]) {
     }
 }
 
+/// Append the lowercase-hex rendering of `bytes` to a byte buffer.
+pub fn extend_hex(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        let i = 2 * b as usize;
+        out.extend_from_slice(&HEX_DIGITS[i..i + 2]);
+    }
+}
+
 /// The lowercase-hex rendering of `bytes` as a fresh `String`.
 pub fn hex_string(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
@@ -60,5 +69,8 @@ mod tests {
         let mut pushed = String::from("prefix:");
         push_hex(&mut pushed, &all);
         assert_eq!(pushed, format!("prefix:{expected}"));
+        let mut extended = b"prefix:".to_vec();
+        extend_hex(&mut extended, &all);
+        assert_eq!(extended, format!("prefix:{expected}").into_bytes());
     }
 }

@@ -68,20 +68,44 @@ impl Banner {
         Ok(())
     }
 
+    /// The pieces of the banner line, in order; concatenated they give
+    /// [`to_line`](Self::to_line).  Writers that only need the bytes
+    /// (session synthesis, identifier keys) copy the pieces instead of
+    /// formatting a line.
+    pub fn line_pieces(&self) -> [&str; 6] {
+        let (separator, comments) = match &self.comments {
+            Some(c) => (" ", c.as_str()),
+            None => ("", ""),
+        };
+        [
+            "SSH-",
+            &self.proto_version,
+            "-",
+            &self.software,
+            separator,
+            comments,
+        ]
+    }
+
     /// The banner line without the trailing CR LF, e.g.
     /// `SSH-2.0-OpenSSH_8.9p1`.
     pub fn to_line(&self) -> String {
-        match &self.comments {
-            Some(c) => format!("SSH-{}-{} {}", self.proto_version, self.software, c),
-            None => format!("SSH-{}-{}", self.proto_version, self.software),
-        }
+        self.line_pieces().concat()
     }
 
     /// The banner as sent on the wire, CR LF terminated.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut line = self.to_line().into_bytes();
-        line.extend_from_slice(b"\r\n");
-        line
+        let mut out = Vec::new();
+        self.emit(&mut out);
+        out
+    }
+
+    /// Append the banner as sent on the wire, CR LF terminated, to `out`.
+    pub fn emit(&self, out: &mut Vec<u8>) {
+        for piece in self.line_pieces() {
+            out.extend_from_slice(piece.as_bytes());
+        }
+        out.extend_from_slice(b"\r\n");
     }
 
     /// Parse the first identification line found in `buf`.

@@ -78,10 +78,20 @@ impl HostKey {
     /// Encode the key blob (`string algorithm-name, string key material`) as
     /// transmitted inside the key-exchange reply.
     pub fn to_blob(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.key_material.len() + 16);
-        write_string(&mut out, self.algorithm.name().as_bytes());
-        write_string(&mut out, &self.key_material);
+        let mut out = Vec::with_capacity(self.blob_len());
+        self.emit_blob(&mut out);
         out
+    }
+
+    /// Length of the key blob [`to_blob`](Self::to_blob) encodes.
+    fn blob_len(&self) -> usize {
+        4 + self.algorithm.name().len() + 4 + self.key_material.len()
+    }
+
+    /// Append the key blob to `out`.
+    fn emit_blob(&self, out: &mut Vec<u8>) {
+        write_string(out, self.algorithm.name().as_bytes());
+        write_string(out, &self.key_material);
     }
 
     /// Parse a key blob.
@@ -171,11 +181,28 @@ impl KexReply {
     /// Emit the payload (message number included).
     pub fn to_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128);
-        out.push(SSH_MSG_KEX_ECDH_REPLY);
-        write_string(&mut out, &self.host_key.to_blob());
-        write_string(&mut out, &self.ephemeral_public);
-        write_string(&mut out, &self.signature);
+        Self::emit_payload(
+            &self.host_key,
+            &self.ephemeral_public,
+            &self.signature,
+            &mut out,
+        );
         out
+    }
+
+    /// Append the payload of a reply made of these parts (message number
+    /// included) to `out`, without building a `KexReply` or a key blob.
+    pub fn emit_payload(
+        host_key: &HostKey,
+        ephemeral_public: &[u8],
+        signature: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        out.push(SSH_MSG_KEX_ECDH_REPLY);
+        out.extend_from_slice(&(host_key.blob_len() as u32).to_be_bytes());
+        host_key.emit_blob(out);
+        write_string(out, ephemeral_public);
+        write_string(out, signature);
     }
 
     /// Wrap the reply in a binary packet.

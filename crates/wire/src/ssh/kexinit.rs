@@ -157,8 +157,17 @@ impl KexInit {
     /// Emit the KEXINIT payload (message number included).
     pub fn to_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(512);
+        self.emit_payload(&self.cookie, &mut out);
+        out
+    }
+
+    /// Append the KEXINIT payload (message number included) to `out`,
+    /// carrying `cookie` in place of this message's own: a server sends one
+    /// configuration with a fresh cookie per connection, and this writes
+    /// such a message without copying the lists.
+    pub fn emit_payload(&self, cookie: &[u8; 16], out: &mut Vec<u8>) {
         out.push(SSH_MSG_KEXINIT);
-        out.extend_from_slice(&self.cookie);
+        out.extend_from_slice(cookie);
         for list in [
             &self.kex_algorithms,
             &self.server_host_key_algorithms,
@@ -171,11 +180,10 @@ impl KexInit {
             &self.languages_client_to_server,
             &self.languages_server_to_client,
         ] {
-            list.emit(&mut out);
+            list.emit(out);
         }
         out.push(u8::from(self.first_kex_packet_follows));
         out.extend_from_slice(&0u32.to_be_bytes());
-        out
     }
 
     /// Wrap the KEXINIT in a binary packet.

@@ -78,20 +78,40 @@ impl SshPacket {
     /// information the identifier uses, so zero padding keeps emission
     /// reproducible.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(4 + 1 + self.payload.len() + 2 * BLOCK);
+        let start = Self::open_frame(&mut out);
+        out.extend_from_slice(&self.payload);
+        Self::close_frame(&mut out, start);
+        out
+    }
+
+    /// Start a packet at the end of `out`: reserve its header and return
+    /// where the packet starts.  The caller then appends the payload and
+    /// calls [`close_frame`](Self::close_frame), so a message can be framed
+    /// in a caller-owned buffer without a payload `Vec` of its own.
+    pub fn open_frame(out: &mut Vec<u8>) -> usize {
+        let start = out.len();
+        out.extend_from_slice(&[0u8; 5]);
+        start
+    }
+
+    /// Finish the packet started at `start` by
+    /// [`open_frame`](Self::open_frame): everything after its header is the
+    /// payload.  Fills in the header and appends the deterministic zero
+    /// padding, giving exactly the bytes [`to_bytes`](Self::to_bytes) emits.
+    pub fn close_frame(out: &mut Vec<u8>, start: usize) {
         // total length (4 + 1 + payload + padding) must be a multiple of BLOCK
         // and padding must be at least MIN_PADDING.
-        let unpadded = 4 + 1 + self.payload.len();
+        let payload_len = out.len() - start - 5;
+        let unpadded = 4 + 1 + payload_len;
         let mut padding = BLOCK - (unpadded % BLOCK);
         if padding < MIN_PADDING {
             padding += BLOCK;
         }
-        let packet_length = 1 + self.payload.len() + padding;
-        let mut out = Vec::with_capacity(4 + packet_length);
-        out.extend_from_slice(&(packet_length as u32).to_be_bytes());
-        out.push(padding as u8);
-        out.extend_from_slice(&self.payload);
-        out.extend_from_slice(&vec![0u8; padding]);
-        out
+        let packet_length = 1 + payload_len + padding;
+        out[start..start + 4].copy_from_slice(&(packet_length as u32).to_be_bytes());
+        out[start + 4] = padding as u8;
+        out.resize(out.len() + padding, 0);
     }
 
     /// Parse a stream of packets, stopping at the first malformed or
@@ -142,6 +162,32 @@ mod tests {
         assert_eq!(consumed, bytes.len());
         assert_eq!(parsed, packet);
         assert_eq!(parsed.message_number(), Some(SSH_MSG_KEXINIT));
+    }
+
+    #[test]
+    fn framing_in_place_follows_rfc_4253() {
+        for len in 0..40u8 {
+            let payload: Vec<u8> = (0..len).collect();
+            let mut out = b"prefix".to_vec();
+            let start = SshPacket::open_frame(&mut out);
+            out.extend_from_slice(&payload);
+            SshPacket::close_frame(&mut out, start);
+            assert_eq!(&out[..6], b"prefix");
+            let frame = &out[6..];
+            assert_eq!(frame, SshPacket::new(payload.clone()).to_bytes());
+            assert_eq!(frame.len() % BLOCK, 0, "len={len}");
+            let padding = frame[4] as usize;
+            assert!((MIN_PADDING..MIN_PADDING + BLOCK).contains(&padding));
+            assert!(frame[5 + payload.len()..].iter().all(|&b| b == 0));
+            let (parsed, consumed) = SshPacket::parse(frame).unwrap();
+            assert_eq!((parsed.payload, consumed), (payload, frame.len()));
+        }
+        // Lengths worked by hand: 5 + 0 needs 3 bytes to a block, below the
+        // minimum of 4, so 11; 5 + 3 fills a block, so 8 more.
+        let framed = |payload: &[u8]| SshPacket::new(payload.to_vec()).to_bytes();
+        assert_eq!(framed(&[])[..5], [0, 0, 0, 12, 11]);
+        assert_eq!(framed(&[9, 9, 9])[..5], [0, 0, 0, 12, 8]);
+        assert_eq!(framed(&[9; 6])[..5], [0, 0, 0, 12, 5]);
     }
 
     #[test]
